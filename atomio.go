@@ -19,8 +19,8 @@
 //	)
 //
 // New validates an option list into a Spec; Spec.Run executes it. RunGrid
-// executes many cells on a worker pool; Figure8, Scaling, ShardSweep and
-// Degraded return the paper's evaluation grids; Fleet returns the seeded
+// executes many cells on a worker pool; Figure8, Scaling and Degraded
+// return the paper's evaluation grids; Fleet returns the seeded
 // failure-injection fleet. New subsystems plug in by registering a name
 // (RegisterStrategy, RegisterPlatform, RegisterScenario, RegisterFault)
 // rather than growing another struct field.
@@ -60,10 +60,6 @@ type (
 	// ServerStatsSummary condenses per-server stats into hot-server
 	// indicators.
 	ServerStatsSummary = harness.ServerStatsSummary
-	// SimEngine executes a simulation's rank bodies and orders their
-	// cross-rank interactions; every registered engine produces
-	// byte-identical virtual results (see sim.Engine).
-	SimEngine = sim.Engine
 	// FaultScript is a named, deterministic failure-injection script:
 	// seeded events over virtual time (server crash windows, lock-message
 	// faults, writer crashes) plus the lock-lease duration.
@@ -72,8 +68,8 @@ type (
 	// torn, or recovered-serializable.
 	Verdict = verify.Verdict
 	// TraceEvent is one structured virtual-time event of a traced run,
-	// totally ordered by (T, Actor, Seq) and byte-identical across engines,
-	// worker counts and lock-shard counts (see internal/obs).
+	// totally ordered by (T, Actor, Seq) and byte-identical across engines
+	// and worker counts (see internal/obs).
 	TraceEvent = obs.Event
 	// TraceRecorder collects a traced run's event streams and metrics;
 	// Result.Events holds one when tracing was requested.
@@ -116,19 +112,9 @@ type Spec struct {
 	// Recovery enables write-ahead intent logging and post-run replay of
 	// fault-damaged extents.
 	Recovery bool
-	// Engine is the registered simulation-engine name; empty selects the
-	// event-loop default. Engines are host-performance choices only:
-	// virtual results are byte-identical across them.
-	Engine string
 	// Servers overrides the platform's simulated I/O-server count
 	// (0 keeps the platform default; a real model parameter).
 	Servers int
-	// LockShards overrides the lock manager's table shard count
-	// (0 keeps the platform default; output is invariant in it).
-	LockShards int
-	// SharedStore stores file bytes in the pre-striping shared store
-	// (the oracle layout; output is byte-identical either way).
-	SharedStore bool
 	// StoreData materializes file bytes (implied by Verify).
 	StoreData bool
 	// Verify checks MPI atomicity on the resulting file content.
@@ -233,14 +219,6 @@ func Recovery(on bool) Option {
 	return func(s *Spec) error { s.Recovery = on; return nil }
 }
 
-// Engine selects the simulation engine by registered name ("eventloop",
-// the single-threaded scheduler, or "goroutine", the one-goroutine-per-rank
-// oracle); the empty string keeps the event-loop default. Reported numbers
-// are byte-identical for any engine.
-func Engine(name string) Option {
-	return func(s *Spec) error { s.Engine = name; return nil }
-}
-
 // Servers overrides the simulated I/O-server count (0 keeps the platform
 // default). Server count is a real model parameter: reported numbers
 // change with it.
@@ -252,24 +230,6 @@ func Servers(n int) Option {
 		s.Servers = n
 		return nil
 	}
-}
-
-// LockShards overrides the lock-table shard count (0 keeps the platform
-// default). Reported numbers are byte-identical for any value.
-func LockShards(n int) Option {
-	return func(s *Spec) error {
-		if n < 0 {
-			return fmt.Errorf("atomio: lock shards must be non-negative, got %d", n)
-		}
-		s.LockShards = n
-		return nil
-	}
-}
-
-// SharedStore selects the pre-striping shared file store (the oracle
-// layout) instead of per-server stores.
-func SharedStore(on bool) Option {
-	return func(s *Spec) error { s.SharedStore = on; return nil }
 }
 
 // StoreData materializes file bytes (needed for Verify; off by default so
@@ -291,7 +251,7 @@ func Trace(on bool) Option {
 
 // TraceEvents records the structured virtual-time event stream and metrics
 // registry of the run. The stream is byte-identical across simulation
-// engines, worker counts and lock-shard counts; export it with
+// engines and worker counts; export it with
 // WriteTraceJSONL or WriteChromeTrace.
 func TraceEvents(on bool) Option {
 	return func(s *Spec) error { s.TraceEvents = on; return nil }
@@ -421,8 +381,8 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 	if s.Overlap < 0 {
 		return zero, fmt.Errorf("atomio: overlap must be non-negative, got %d", s.Overlap)
 	}
-	if s.Servers < 0 || s.LockShards < 0 || s.Checkpoints < 0 {
-		return zero, fmt.Errorf("atomio: servers, lock shards and checkpoints must be non-negative")
+	if s.Servers < 0 || s.Checkpoints < 0 {
+		return zero, fmt.Errorf("atomio: servers and checkpoints must be non-negative")
 	}
 	if strat.Name() == "locking" && !prof.SupportsLocking() {
 		return zero, fmt.Errorf("atomio: strategy %q needs byte-range locking; platform %q has none",
@@ -440,9 +400,7 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 		Verify:       s.Verify,
 		Trace:        s.Trace,
 		AtomicListIO: s.AtomicListIO || strat.Name() == "listio",
-		LockShards:   s.LockShards,
 		Servers:      s.Servers,
-		SharedStore:  s.SharedStore,
 		Recovery:     s.Recovery,
 		TraceEvents:  s.TraceEvents,
 		EventLimit:   s.TraceLimit,
@@ -456,13 +414,6 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 			return zero, err
 		}
 		e.Faults = &script
-	}
-	if s.Engine != "" {
-		eng, err := EngineByName(s.Engine)
-		if err != nil {
-			return zero, err
-		}
-		e.Engine = eng
 	}
 	if s.Scenario != "" {
 		scen, err := ScenarioByName(s.Scenario)
@@ -541,7 +492,7 @@ func SummarizeServerStats(stats []ServerStats, makespan VTime) ServerStatsSummar
 // WriteTraceJSONL writes a traced run's event stream and metrics as compact
 // JSONL (schema atomio.trace/v1): a header line, one event per line in
 // (T, Actor, Seq) order, and a final metrics line. The output is
-// byte-identical across engines, worker counts and lock-shard counts.
+// byte-identical across engines and worker counts.
 func WriteTraceJSONL(w io.Writer, r *TraceRecorder) error {
 	return obs.WriteJSONL(w, r)
 }

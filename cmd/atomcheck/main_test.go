@@ -23,6 +23,7 @@ func TestParseFlags(t *testing.T) {
 		{"zero procs", []string{"-p", "0"}, false, "-p must be positive"},
 		{"non-numeric procs", []string{"-p", "x"}, false, "invalid value"},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+		{"no engine flag", []string{"-engine", "goroutine"}, false, "not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

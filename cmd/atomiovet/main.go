@@ -1,9 +1,9 @@
 // Command atomiovet is the repo's static-analysis gate: one multichecker
 // binary running the custom contract analyzers (detwalk, simclock,
-// vtflow, shardorder, waitcycle, coordcontract, hotalloc, layering,
-// registry) alongside the vet-hardening passes (shadow, copylocks,
-// nilness) over every package. It machine-enforces the invariants the
-// determinism and deadlock-freedom arguments rest on; CI runs
+// vtflow, coordcontract, hotalloc, layering, registry) alongside the
+// vet-hardening passes (shadow, copylocks, nilness) over every package.
+// It machine-enforces the invariants the determinism argument rests on;
+// CI runs
 // `go run ./cmd/atomiovet ./...` as the lint job and fails on any
 // diagnostic. Exceptions are written in the code as
 // `//atomiovet:allow <analyzer> <reason>` comments — the suppression
@@ -29,11 +29,9 @@ import (
 	"atomio/internal/analysis/layering"
 	"atomio/internal/analysis/load"
 	"atomio/internal/analysis/registrycheck"
-	"atomio/internal/analysis/shardorder"
 	"atomio/internal/analysis/simclock"
 	"atomio/internal/analysis/stdvet"
 	"atomio/internal/analysis/vtflow"
-	"atomio/internal/analysis/waitcycle"
 )
 
 // analyzers is the full suite, custom contracts first.
@@ -41,8 +39,6 @@ var analyzers = []*analysis.Analyzer{
 	detwalk.Analyzer,
 	simclock.Analyzer,
 	vtflow.Analyzer,
-	shardorder.Analyzer,
-	waitcycle.Analyzer,
 	coordcontract.Analyzer,
 	hotalloc.Analyzer,
 	layering.Analyzer,

@@ -7,8 +7,7 @@
 //
 //	figure8 [-platform name] [-size label] [-store] [-v]
 //	        [-workers N] [-progress] [-json file] [-csv file]
-//	        [-scale] [-maxp P] [-engine name] [-lockshards S]
-//	        [-shardsweep] [-servers N] [-sharedstore] [-degraded]
+//	        [-scale] [-maxp P] [-servers N] [-degraded]
 //	        [-fleet] [-seed S] [-cells N]
 //	        [-trace-out file] [-trace-limit N] [-metrics]
 //
@@ -20,25 +19,14 @@
 // With -scale the command runs the large-P scaling grid instead (process
 // counts up to 1024 with non-contiguous interleaved views, see
 // atomio.Scaling) and prints one row per cell; -json emits the same
-// atomio.bench/v1 records as the Figure 8 grid. -maxp raises (or lowers)
+// atomio.bench/v2 records as the Figure 8 grid. -maxp raises (or lowers)
 // the grid's process-count ceiling: past 1024 the grid continues into the
 // locking-only extended points (2048–16384 ranks, see atomio.ScalingTo),
-// the regime the single-threaded event-loop engine (-engine eventloop, the
-// default) exists for.
-//
-// -lockshards S partitions every cell's lock-manager table across S offset
-// stripes (see internal/lock). Reported numbers are byte-identical for any
-// S — sharding changes host-side lock-service concurrency only — which
-// makes the flag a live determinism check. -shardsweep runs the dedicated
-// shard sweep (atomio.ShardSweep): one contended locking cell per shard
-// count, printing virtual bandwidth (constant) next to wall time.
+// the regime the single-threaded event-loop engine exists for.
 //
 // -servers N overrides every cell's simulated I/O-server count (a real
-// model parameter: reported numbers change with it). -sharedstore runs
-// every cell on the pre-striping shared file store instead of per-server
-// stores; output is byte-identical either way, so diffing a -sharedstore
-// run against a default run is a live oracle check of the striped storage
-// subsystem. -degraded runs the degraded-server scenario grid instead
+// model parameter: reported numbers change with it). -degraded runs the
+// degraded-server scenario grid instead
 // (atomio.Degraded): healthy baseline, one slow server, a hot server
 // absorbing skewed affinity, and a server-count rebalance, printing each
 // cell's bandwidth next to its hottest server's queue occupancy and byte
@@ -53,13 +41,13 @@
 // failure the offending cell is shrunk to a minimal reproducer and printed
 // before exiting non-zero. Fault decisions are pure functions of virtual
 // time, so the whole report — verdicts included — is byte-identical across
-// runs and engines for a fixed (seed, cells) pair.
+// runs for a fixed (seed, cells) pair.
 //
 // -trace-out records every cell's structured virtual-time event stream and
 // writes one trace file per cell: a ".json" path gets the Chrome
 // trace-event format (open it at ui.perfetto.dev), any other extension gets
 // atomio.trace/v1 JSONL (the format cmd/atomtrace consumes). The stream is
-// byte-identical across engines, worker counts and lock-shard counts.
+// byte-identical across worker counts.
 // -trace-limit bounds per-actor event memory for large-P cells. -metrics
 // alone records the metrics registry — message counts, queue depths, lock
 // waits — into the emitted records without keeping event streams.
@@ -81,20 +69,19 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	platform   string
-	size       string
-	store      bool
-	verbose    bool
-	scale      bool
-	maxp       int
-	shardSweep bool
-	degraded   bool
-	fleet      bool
-	seed       uint64
-	cells      int
-	out        *cli.Output
-	model      *cli.Model
-	trace      *cli.Trace
+	platform string
+	size     string
+	store    bool
+	verbose  bool
+	scale    bool
+	maxp     int
+	degraded bool
+	fleet    bool
+	seed     uint64
+	cells    int
+	out      *cli.Output
+	model    *cli.Model
+	trace    *cli.Trace
 }
 
 // parseFlags parses and validates the command line, printing diagnostics
@@ -110,7 +97,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	app.Flags.BoolVar(&cfg.scale, "scale", false, "run the large-P scaling grid instead of Figure 8")
 	app.Flags.IntVar(&cfg.maxp, "maxp", 1024,
 		"largest process count of the -scale grid (past 1024: locking-only extended points up to 16384)")
-	app.Flags.BoolVar(&cfg.shardSweep, "shardsweep", false, "run the lock-shard sweep instead of Figure 8")
 	app.Flags.BoolVar(&cfg.degraded, "degraded", false, "run the degraded-server scenario grid instead of Figure 8")
 	app.Flags.BoolVar(&cfg.fleet, "fleet", false, "run the seeded failure-injection fleet instead of Figure 8")
 	app.Flags.Uint64Var(&cfg.seed, "seed", 1, "fleet PRNG seed; (seed, cells) reproduces the fleet exactly")
@@ -122,22 +108,16 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg.trace = app.Trace()
 	app.Check(func() error {
 		exclusive := 0
-		for _, f := range []bool{cfg.scale, cfg.shardSweep, cfg.degraded, cfg.fleet} {
+		for _, f := range []bool{cfg.scale, cfg.degraded, cfg.fleet} {
 			if f {
 				exclusive++
 			}
 		}
 		if exclusive > 1 {
-			return errors.New("-scale, -shardsweep, -degraded and -fleet are mutually exclusive")
+			return errors.New("-scale, -degraded and -fleet are mutually exclusive")
 		}
-		if cfg.shardSweep && cfg.model.LockShards != 0 {
-			return errors.New("-shardsweep sweeps its own shard counts; -lockshards would be ignored")
-		}
-		if cfg.shardSweep && (cfg.model.Servers != 0 || cfg.model.SharedStore) {
-			return errors.New("-shardsweep fixes its own cell; -servers and -sharedstore would be ignored")
-		}
-		if cfg.degraded && (cfg.model.Servers != 0 || cfg.model.SharedStore || cfg.model.LockShards != 0) {
-			return errors.New("-degraded fixes its own scenarios; -servers, -sharedstore and -lockshards would be ignored")
+		if cfg.degraded && cfg.model.Servers != 0 {
+			return errors.New("-degraded fixes its own scenarios; -servers would be ignored")
 		}
 		if cfg.fleet && cfg.model.Servers != 0 {
 			return errors.New("-fleet fixes two I/O servers per cell; -servers would change the fault surface")
@@ -148,11 +128,11 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if cfg.cells < 1 {
 			return fmt.Errorf("-cells must be at least 1 (the negative control), got %d", cfg.cells)
 		}
-		if cfg.scale || cfg.shardSweep || cfg.degraded || cfg.fleet {
+		if cfg.scale || cfg.degraded || cfg.fleet {
 			// These grids fix their own platform, shapes and data mode;
 			// reject flags that would otherwise be silently ignored.
 			if *platformFlag != "" || *sizeFlag != "" || cfg.store || cfg.verbose {
-				return errors.New("-scale/-shardsweep/-degraded/-fleet are incompatible with -platform, -size, -store and -v")
+				return errors.New("-scale/-degraded/-fleet are incompatible with -platform, -size, -store and -v")
 			}
 		}
 		if cfg.maxp != 1024 && !cfg.scale {
@@ -180,8 +160,6 @@ func main() {
 		os.Exit(cli.ExitCode(err))
 	}
 	switch {
-	case cfg.shardSweep:
-		runShardSweep(cfg)
 	case cfg.degraded:
 		runDegraded(cfg)
 	case cfg.fleet:
@@ -276,19 +254,6 @@ func runScaling(cfg *config) {
 	}
 }
 
-// runShardSweep executes the lock-shard sweep: one contended locking cell
-// per shard count. The virtual column is constant across rows — the
-// sharded table's determinism contract — while wall time tracks the host.
-func runShardSweep(cfg *config) {
-	results := runCells(atomio.ShardSweep(), cfg)
-	fmt.Printf("%-44s %8s %12s %12s %12s\n", "cell", "shards", "vMB/s", "vmakespan", "wall")
-	for _, r := range results {
-		res := r.Result
-		fmt.Printf("%-44s %8d %12.2f %12s %12s\n",
-			r.Cell.ID, r.Cell.Experiment.LockShards, res.BandwidthMBs, res.Makespan, r.Wall.Round(1e6))
-	}
-}
-
 // runDegraded executes the degraded-server scenario grid and prints one row
 // per cell with a per-server summary: the hottest server's queue occupancy
 // (busy time over the cell's makespan) and its share of the bytes moved —
@@ -312,22 +277,13 @@ const shrinkBudget = 40
 
 // runFleet executes the seeded failure-injection fleet, prints one verdict
 // row per cell, and applies the fleet gate. The report carries no wall
-// times or engine names, so a fixed (seed, cells) pair prints
-// byte-identically across runs and engines — diffing two fleet runs is a
-// live determinism check. On gate failure the offending cell is shrunk to
-// a minimal reproducer and the command exits non-zero.
+// times, so a fixed (seed, cells) pair prints byte-identically across runs
+// — diffing two fleet runs is a live determinism check. On gate failure
+// the offending cell is shrunk to a minimal reproducer and the command
+// exits non-zero. The fleet pins its own server count (the fault surface),
+// so -servers was rejected at flag time.
 func runFleet(cfg *config) {
 	cells := atomio.Fleet(cfg.seed, cfg.cells)
-	// The fleet pins its own server count (the fault surface), so the model
-	// group applies piecewise: the output-invariant knobs pass through, and
-	// -servers was rejected at flag time.
-	for i := range cells {
-		cells[i].Experiment.LockShards = cfg.model.LockShards
-		cells[i].Experiment.SharedStore = cfg.model.SharedStore
-	}
-	if err := atomio.ApplyEngine(cells, cfg.model.Engine); err != nil {
-		fatal(err)
-	}
 	cfg.trace.ApplyCells(cells)
 	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))
 	if err := atomio.EmitFiles(cfg.out.JSON, cfg.out.CSV, results); err != nil {

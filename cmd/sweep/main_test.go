@@ -20,7 +20,7 @@ func TestParseFlags(t *testing.T) {
 		{"full", []string{"-platform", "IBM SP", "-m", "512", "-n", "4096", "-p", "2,4",
 			"-r", "8", "-pattern", "row", "-strategies", "coloring,ordering",
 			"-store", "-trace", "-workers", "2", "-json", "a.json",
-			"-lockshards", "2", "-servers", "3", "-sharedstore"}, true, ""},
+			"-servers", "3"}, true, ""},
 		{"bad shape", []string{"-m", "0"}, false, "must be positive"},
 		{"bad overlap", []string{"-r", "-1"}, false, "non-negative"},
 		{"empty procs", []string{"-p", ""}, false, "empty process list"},
@@ -30,9 +30,12 @@ func TestParseFlags(t *testing.T) {
 		{"empty pattern", []string{"-pattern", ""}, false, "empty pattern"},
 		{"unknown strategy", []string{"-strategies", "osmosis"}, false, "registered:"},
 		{"empty strategy entry", []string{"-strategies", "locking,,ordering"}, false, "empty entry"},
-		{"negative lockshards", []string{"-lockshards", "-1"}, false, "non-negative"},
 		{"negative servers", []string{"-servers", "-9"}, false, "non-negative"},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+		// No flag selects the engine, lock shards or the shared store.
+		{"negative lockshards", []string{"-lockshards", "-1"}, false, "not defined"},
+		{"no engine flag", []string{"-engine", "goroutine"}, false, "not defined"},
+		{"no sharedstore flag", []string{"-sharedstore"}, false, "not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,6 +20,7 @@ func TestParseFlags(t *testing.T) {
 		{"json", []string{"-json"}, true, ""},
 		{"both", []string{"-params", "-json"}, true, ""},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+		{"no engine flag", []string{"-engine", "goroutine"}, false, "not defined"},
 		{"non-boolean value", []string{"-json=x"}, false, "invalid"},
 	}
 	for _, tc := range cases {

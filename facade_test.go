@@ -43,7 +43,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad procs", []Option{Procs(0)}, "must be positive"},
 		{"bad overlap", []Option{Overlap(-1)}, "non-negative"},
 		{"bad servers", []Option{Servers(-1)}, "non-negative"},
-		{"bad lock shards", []Option{LockShards(-1)}, "non-negative"},
 		{"bad checkpoints", []Option{Checkpoints(-1)}, "non-negative"},
 		{"bad compute", []Option{Compute(-time.Second)}, "non-negative"},
 		{"bad timeout", []Option{Timeout(-time.Second)}, "non-negative"},
@@ -134,7 +133,6 @@ func TestFigure8MatchesRunner(t *testing.T) {
 		want  []Cell
 	}{
 		{"Scaling", Scaling(), runner.ScalingGrid()},
-		{"ShardSweep", ShardSweep(), runner.ShardSweepGrid()},
 		{"Degraded", Degraded(), runner.DegradedGrid()},
 	} {
 		if !reflect.DeepEqual(f.cells, f.want) {

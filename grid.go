@@ -18,7 +18,7 @@ type (
 	// CellResult is the outcome of one cell.
 	CellResult = runner.CellResult
 	// Record is one cell's outcome flattened for machine consumption
-	// (the atomio.bench/v1 schema).
+	// (the atomio.bench/v2 schema).
 	Record = runner.Record
 	// RunOptions configures a grid run (worker count, progress callback).
 	RunOptions = runner.Options
@@ -52,19 +52,9 @@ type Grid struct {
 	// AtomicListIO grants the simulated file system atomic vectored
 	// writes; cells using the listio strategy get it regardless.
 	AtomicListIO bool
-	// LockShards overrides the lock-table shard count on every cell
-	// (0 keeps platform defaults; output is invariant in it).
-	LockShards int
 	// Servers overrides the simulated I/O-server count on every cell
 	// (0 keeps platform defaults; a real model parameter).
 	Servers int
-	// SharedStore runs every cell on the pre-striping shared store (the
-	// oracle layout; output is byte-identical either way).
-	SharedStore bool
-	// Engine is the registered simulation-engine name applied to every
-	// cell; empty keeps the event-loop default. Output is byte-identical
-	// for any engine.
-	Engine string
 	// TraceEvents records every cell's structured event stream and metrics
 	// registry; the metrics feed the messages / max_queue_depth /
 	// lock-wait columns of emitted records.
@@ -104,9 +94,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		Verify:          g.Verify,
 		Trace:           g.Trace,
 		AtomicListIO:    g.AtomicListIO,
-		LockShards:      g.LockShards,
 		Servers:         g.Servers,
-		SharedStore:     g.SharedStore,
 		TraceEvents:     g.TraceEvents,
 		TraceLimit:      g.TraceLimit,
 	}
@@ -117,37 +105,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 		rg.Strategies = append(rg.Strategies, strat)
 	}
-	cells := rg.Cells()
-	if g.Engine != "" {
-		// Engines resolve here, not in the runner: the runner stays free
-		// of registry knowledge, and every cell of one grid runs under the
-		// same engine instance family.
-		eng, err := EngineByName(g.Engine)
-		if err != nil {
-			return nil, err
-		}
-		for i := range cells {
-			cells[i].Experiment.Engine = eng
-		}
-	}
-	return cells, nil
-}
-
-// ApplyEngine stamps the registered engine name onto every cell, leaving
-// cells untouched when name is empty. Grids built outside Grid.Cells (the
-// scaling, shard-sweep and degraded grids) route their -engine flag here.
-func ApplyEngine(cells []Cell, name string) error {
-	if name == "" {
-		return nil
-	}
-	eng, err := EngineByName(name)
-	if err != nil {
-		return err
-	}
-	for i := range cells {
-		cells[i].Experiment.Engine = eng
-	}
-	return nil
+	return rg.Cells(), nil
 }
 
 // WithPlatform narrows the grid to one platform by Table 1 name.
@@ -205,10 +163,6 @@ func Scaling() []Cell { return runner.ScalingGrid() }
 // runner.ScalingGridTo).
 func ScalingTo(maxP int) []Cell { return runner.ScalingGridTo(maxP) }
 
-// ShardSweep returns the lock-shard sweep cells: one contended locking
-// cell per shard count, byte-identical simulated output across the sweep.
-func ShardSweep() []Cell { return runner.ShardSweepGrid() }
-
 // Degraded returns the degraded-server scenario cells: healthy baseline,
 // one slow server, a hot server absorbing skewed affinity, and a
 // server-count rebalance. Perturbed cells are explicitly non-comparable to
@@ -244,7 +198,7 @@ func RunGrid(cells []Cell, opts RunOptions) []CellResult {
 // FirstErr returns the first failing result in grid order, or nil.
 func FirstErr(results []CellResult) error { return runner.FirstErr(results) }
 
-// Records flattens results into atomio.bench/v1 records, in grid order.
+// Records flattens results into atomio.bench/v2 records, in grid order.
 func Records(results []CellResult) []Record { return runner.Records(results) }
 
 // EmitFiles writes results to the requested paths — JSON, CSV, or both.

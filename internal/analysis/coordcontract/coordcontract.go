@@ -8,11 +8,9 @@
 //
 // The check is flow-sensitive (internal/analysis/cfg + dataflow): a
 // must-held analysis tracks the set of mutexes certainly held at every
-// program point. Lock/RLock acquire, Unlock/RUnlock release; calls to
-// lock-prefixed helper methods (lockShards) acquire a pseudo-mutex that
-// the matching unlock-prefixed helper releases; `defer mu.Unlock()`
-// releases nothing anywhere in the body (it runs at exit), which is
-// exactly why the defer-unlock idiom passes.
+// program point. Lock/RLock acquire, Unlock/RUnlock release;
+// `defer mu.Unlock()` releases nothing anywhere in the body (it runs at
+// exit), which is exactly why the defer-unlock idiom passes.
 //
 // Two deliberate exemptions, both grounded in the Coord contract
 // (internal/sim/engine.go):
@@ -20,8 +18,7 @@
 //   - Park(id, nil) may run after the structure unlocks. The wake token
 //     is buffered per actor, so a Wake landing between the unlock and
 //     the park is not lost; determinism rests on Block and Wake, which
-//     this analyzer still checks. (The sharded lock table's
-//     reserve/park window is this shape.)
+//     this analyzer still checks.
 //   - A Coord method calling the same method on an inner Coord — a
 //     forwarding wrapper like obs.CoordTracer — inherits its caller's
 //     obligation instead of owning one.
@@ -30,7 +27,6 @@ package coordcontract
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"atomio/internal/analysis"
 	"atomio/internal/analysis/cfg"
@@ -80,7 +76,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		Copy:     dataflow.CopySet[string],
 		Transfer: func(b *cfg.Block, in dataflow.Set[string]) dataflow.Set[string] {
 			for _, n := range b.Nodes {
-				applyMutexOps(pass, n, in)
+				applyMutexOps(n, in)
 			}
 			return in
 		},
@@ -97,7 +93,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		held := dataflow.CopySet(in)
 		for _, n := range b.Nodes {
 			checkNode(pass, fd, n, held)
-			applyMutexOps(pass, n, held)
+			applyMutexOps(n, held)
 		}
 	}
 }
@@ -194,7 +190,7 @@ func lockerArg(e ast.Expr) string {
 // applyMutexOps folds the mutex operations of one CFG node into the
 // held set. Deferred unlocks run at exit, not here; function literals
 // own their flow.
-func applyMutexOps(pass *analysis.Pass, n ast.Node, held dataflow.Set[string]) {
+func applyMutexOps(n ast.Node, held dataflow.Set[string]) {
 	if _, ok := n.(*ast.DeferStmt); ok {
 		return
 	}
@@ -207,7 +203,7 @@ func applyMutexOps(pass *analysis.Pass, n ast.Node, held dataflow.Set[string]) {
 		if !ok {
 			return true
 		}
-		desc, acquire, ok := mutexOp(pass, call)
+		desc, acquire, ok := mutexOp(call)
 		if !ok {
 			return true
 		}
@@ -221,36 +217,21 @@ func applyMutexOps(pass *analysis.Pass, n ast.Node, held dataflow.Set[string]) {
 }
 
 // mutexOp classifies a call as a mutex acquisition or release and
-// returns the canonical descriptor of what it holds. Three shapes
-// count:
-//
-//   - x.Lock()/x.RLock()/x.Unlock()/x.RUnlock() on sync.Mutex/RWMutex
-//     (or any named Locker-shaped type): descriptor is x's expression.
-//   - lock-prefixed helper methods (st.lockShards(ids)) acquire the
-//     pseudo-mutex "st.lockShards"; the unlock-prefixed twin
-//     (st.unlockShards) releases it.
-func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (desc string, acquire, ok bool) {
+// returns the canonical descriptor of what it holds:
+// x.Lock()/x.RLock()/x.Unlock()/x.RUnlock() on sync.Mutex/RWMutex (or
+// any named Locker-shaped type), described by x's expression.
+func mutexOp(call *ast.CallExpr) (desc string, acquire, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	name := sel.Sel.Name
 	// Bare mutex methods take no arguments; the lock Manager interface's
 	// Lock/Unlock (owner, extent, time) never match.
-	if len(call.Args) == 0 {
-		switch name {
-		case "Lock", "RLock":
-			return types.ExprString(sel.X), true, true
-		case "Unlock", "RUnlock":
-			return types.ExprString(sel.X), false, true
-		}
+	if !isSel || len(call.Args) != 0 {
+		return "", false, false
 	}
-	recv := types.ExprString(sel.X)
-	if strings.HasPrefix(name, "lock") && len(name) > len("lock") {
-		return recv + "." + name, true, true
-	}
-	if strings.HasPrefix(name, "unlock") && len(name) > len("unlock") {
-		return recv + "." + strings.TrimPrefix(name, "un"), false, true
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		return types.ExprString(sel.X), true, true
+	case "Unlock", "RUnlock":
+		return types.ExprString(sel.X), false, true
 	}
 	return "", false, false
 }

@@ -1,18 +1,18 @@
 // Package dataflow solves iterative dataflow problems over the
 // control-flow graphs of internal/analysis/cfg: a generic worklist
 // solver parameterized by the client's lattice (join, equality,
-// transfer), plus two reusable facts the contract analyzers share —
-// reaching definitions (reaching.go) and a taint/escape walk
-// (taint.go). The solver is direction-agnostic (forward or backward)
-// and deliberately simple: analyzer inputs are single function bodies,
-// where a round-robin worklist converges in a handful of passes.
+// transfer), plus the taint and escape walks the contract analyzers
+// share (taint.go, escape.go). The solver is direction-agnostic
+// (forward or backward) and deliberately simple: analyzer inputs are
+// single function bodies, where a round-robin worklist converges in a
+// handful of passes.
 //
 // Must-properties ("the mutex is held on every path") and
-// may-properties ("some path acquires shard i first") differ only in
-// the client's Join: intersection joins yield must facts, unions yield
-// may facts. Blocks never reached by propagation keep no facts at all —
-// the solver only seeds the boundary block — so clients skip
-// unreachable code by construction instead of modelling a TOP element.
+// may-properties ("some path taints x") differ only in the client's
+// Join: intersection joins yield must facts, unions yield may facts.
+// Blocks never reached by propagation keep no facts at all — the
+// solver only seeds the boundary block — so clients skip unreachable
+// code by construction instead of modelling a TOP element.
 package dataflow
 
 import "atomio/internal/analysis/cfg"

@@ -238,3 +238,20 @@ func (t *TaintResult) exprTainted(e ast.Expr, fact Set[*types.Var]) bool {
 	}
 	return false
 }
+
+// lhsVar resolves an assignment target to the local variable it names,
+// or nil for non-identifier targets (x.f, x[i], *p — stores through
+// memory, not redefinitions of a local).
+func lhsVar(info *types.Info, e ast.Expr) *types.Var {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if v, ok := info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	if v, ok := info.Uses[id].(*types.Var); ok {
+		return v
+	}
+	return nil
+}

@@ -37,8 +37,8 @@ func (t *table) parkUnderDeferredUnlock(id int) {
 	}
 }
 
-// parkNilAfterUnlock mirrors the sharded table's reserve/park window:
-// a nil locker parks on the buffered wake token, legal after unlock.
+// parkNilAfterUnlock parks with a nil locker on the buffered wake
+// token, legal after unlock.
 func (t *table) parkNilAfterUnlock(id int) {
 	t.mu.Lock()
 	t.coord.Block(id)
@@ -103,28 +103,6 @@ func (p *pair) parkWrongMutex(id int) {
 	for !p.ready {
 		p.coord.Park(id, &p.b) // want "Park sleeps on p.b without holding it"
 	}
-}
-
-type sharded struct {
-	coord sim.Coord
-}
-
-func (s *sharded) lockShards(ids []int)   {}
-func (s *sharded) unlockShards(ids []int) {}
-
-// wakeUnderHelper acquires through a lock-prefixed helper method, the
-// sharded table's idiom: the helper pair is tracked as a pseudo-mutex.
-func (s *sharded) wakeUnderHelper(id int, at sim.VTime, ids []int) {
-	s.lockShards(ids)
-	defer s.unlockShards(ids)
-	s.coord.Wake(id, at)
-}
-
-// wakeAfterHelperUnlock releases the helper pseudo-mutex first.
-func (s *sharded) wakeAfterHelperUnlock(id int, at sim.VTime, ids []int) {
-	s.lockShards(ids)
-	s.unlockShards(ids)
-	s.coord.Wake(id, at) // want "Wake called without the owning structure.s mutex held"
 }
 
 // tracer is a forwarding Coord wrapper like obs.CoordTracer: each

@@ -1,7 +1,7 @@
 // Package cli is the shared command-line layer of the atomio binaries:
 // every flag the commands have in common — result emission (-workers,
-// -json, -csv, -progress), simulator model parameters (-lockshards,
-// -servers, -sharedstore), workload geometry (-m, -n, -r) and -platform —
+// -json, -csv, -progress), the simulator model parameter -servers,
+// workload geometry (-m, -n, -r) and -platform —
 // is declared once here, validated once, and bound to the public facade's
 // types, so figure8, sweep, table1 and atomcheck cannot drift apart on
 // names, defaults or error text. The list-valued parsers (ParseProcs,
@@ -129,63 +129,37 @@ func (o *Output) RunOptions(name string) atomio.RunOptions {
 }
 
 // Model is the simulator model-parameter group figure8 and sweep share:
-// -lockshards, -servers, -sharedstore.
+// -servers.
 type Model struct {
-	LockShards  int
-	Servers     int
-	SharedStore bool
-	Engine      string
+	Servers int
 }
 
 // Model registers the model-parameter group on the app, with validation.
 func (a *App) Model() *Model {
 	m := &Model{}
-	a.Flags.IntVar(&m.LockShards, "lockshards", 0,
-		"lock-table shards per manager (0 = platform default; output is identical for any value)")
 	a.Flags.IntVar(&m.Servers, "servers", 0,
 		"simulated I/O servers (0 = platform default; a real model parameter)")
-	a.Flags.BoolVar(&m.SharedStore, "sharedstore", false,
-		"store bytes in the pre-striping shared store (oracle layout; output is identical either way)")
-	a.Flags.StringVar(&m.Engine, "engine", "eventloop",
-		"simulation engine: "+strings.Join(atomio.Engines(), " or ")+" (output is identical either way)")
 	a.Check(m.validate)
 	return m
 }
 
 func (m *Model) validate() error {
-	if m.LockShards < 0 {
-		return fmt.Errorf("-lockshards must be non-negative, got %d", m.LockShards)
-	}
 	if m.Servers < 0 {
 		return fmt.Errorf("-servers must be non-negative, got %d", m.Servers)
-	}
-	if m.Engine != "" {
-		if _, err := atomio.EngineByName(m.Engine); err != nil {
-			return fmt.Errorf("-engine: %v", err)
-		}
 	}
 	return nil
 }
 
 // Apply copies the group onto a facade grid.
 func (m *Model) Apply(g *atomio.Grid) {
-	g.LockShards = m.LockShards
 	g.Servers = m.Servers
-	g.SharedStore = m.SharedStore
-	g.Engine = m.Engine
 }
 
 // ApplyCells copies the group onto already-expanded cells (the grids that
-// enumerate cells directly, like the scaling grid). The engine name was
-// validated at flag time, so resolution cannot fail here.
+// enumerate cells directly, like the scaling grid).
 func (m *Model) ApplyCells(cells []atomio.Cell) {
 	for i := range cells {
-		cells[i].Experiment.LockShards = m.LockShards
 		cells[i].Experiment.Servers = m.Servers
-		cells[i].Experiment.SharedStore = m.SharedStore
-	}
-	if err := atomio.ApplyEngine(cells, m.Engine); err != nil {
-		panic(err)
 	}
 }
 

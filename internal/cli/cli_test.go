@@ -68,15 +68,14 @@ func TestParseStrategies(t *testing.T) {
 	}
 }
 
-// TestModelValidation checks the shared -lockshards/-servers validation.
+// TestModelValidation checks the shared -servers validation.
 func TestModelValidation(t *testing.T) {
 	cases := []struct {
 		args []string
 		ok   bool
 	}{
 		{[]string{}, true},
-		{[]string{"-lockshards", "4", "-servers", "7", "-sharedstore"}, true},
-		{[]string{"-lockshards", "-1"}, false},
+		{[]string{"-servers", "7"}, true},
 		{[]string{"-servers", "-2"}, false},
 		{[]string{"-servers", "x"}, false},
 	}
@@ -89,7 +88,7 @@ func TestModelValidation(t *testing.T) {
 			t.Errorf("Parse(%v) err = %v, want ok=%v", tc.args, err, tc.ok)
 		}
 		if tc.ok && len(tc.args) > 0 {
-			if m.LockShards != 4 || m.Servers != 7 || !m.SharedStore {
+			if m.Servers != 7 {
 				t.Errorf("Parse(%v) model = %+v", tc.args, m)
 			}
 		}
@@ -131,7 +130,7 @@ func TestExitCode(t *testing.T) {
 	app = New("test")
 	app.SetOutput(io.Discard)
 	app.Model()
-	if err := app.Parse([]string{"-lockshards", "-1"}); ExitCode(err) != 1 {
+	if err := app.Parse([]string{"-servers", "-1"}); ExitCode(err) != 1 {
 		t.Errorf("validation: ExitCode = %d, want 1", ExitCode(err))
 	}
 	app = New("test")
@@ -153,11 +152,11 @@ func TestValidationErrorPrinted(t *testing.T) {
 	app.Model()
 	first := errors.New("first check failed")
 	app.Check(func() error { return first })
-	err := app.Parse([]string{"-lockshards", "-3"})
+	err := app.Parse([]string{"-servers", "-3"})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if !strings.Contains(err.Error(), "-lockshards") {
+	if !strings.Contains(err.Error(), "-servers") {
 		t.Errorf("model check should fail before the later check, got %v", err)
 	}
 	if got := buf.String(); !strings.HasPrefix(got, "mybinary: ") {

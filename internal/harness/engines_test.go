@@ -125,19 +125,15 @@ func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
 	})
 }
 
-// TestEngineResolution checks the engine default chain: experiment override,
-// then platform profile, then the event-loop default.
+// TestEngineResolution checks the engine default: the experiment's own
+// engine when set, else the event-loop scheduler.
 func TestEngineResolution(t *testing.T) {
 	e := Experiment{Platform: platform.Origin2000()}
-	if got := e.EngineName(); got != "eventloop" {
+	if got := e.engine().Name(); got != "eventloop" {
 		t.Fatalf("default engine = %q, want eventloop", got)
 	}
-	e.Platform.Engine = sim.Goroutines{}
-	if got := e.EngineName(); got != "goroutine" {
-		t.Fatalf("platform engine = %q, want goroutine", got)
-	}
-	e.Engine = des.New()
-	if got := e.EngineName(); got != "eventloop" {
-		t.Fatalf("experiment engine = %q, want eventloop", got)
+	e.Engine = sim.Goroutines{}
+	if got := e.engine().Name(); got != "goroutine" {
+		t.Fatalf("experiment engine = %q, want goroutine", got)
 	}
 }

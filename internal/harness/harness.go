@@ -83,7 +83,7 @@ type Experiment struct {
 	// TraceEvents records the structured virtual-time event stream and the
 	// metrics registry (see internal/obs): scheduler park/wake, MPI
 	// messages, lock grants, server queueing, fault instants. The stream is
-	// byte-identical across engines, worker counts and lock-shard counts.
+	// byte-identical across engines and worker counts.
 	TraceEvents bool
 	// EventLimit bounds per-actor event memory when TraceEvents is on:
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
@@ -93,11 +93,6 @@ type Experiment struct {
 	// the mpi package default). Large-P scaling cells push millions of
 	// simulated messages through one host and need more than the default.
 	RunTimeout time.Duration
-	// LockShards overrides the platform's lock-table shard count (0 keeps
-	// the platform default). Virtual timings — and therefore every
-	// reported number — are byte-identical for any value; sharding
-	// changes host-side lock-service concurrency only (see internal/lock).
-	LockShards int
 	// Servers overrides the platform's simulated I/O-server count (0
 	// keeps the platform default). Server count is a real model parameter:
 	// changing it changes virtual timings.
@@ -105,7 +100,7 @@ type Experiment struct {
 	// SharedStore stores file bytes in the pre-striping single shared
 	// store instead of per-server stores (see pfs.Config.SharedStore).
 	// The two layouts produce byte-identical output on every healthy
-	// configuration; the flag exists as a live oracle check.
+	// configuration; tests set it to cross-check the striped stores.
 	SharedStore bool
 	// Scenario applies a per-server perturbation profile (nil = healthy).
 	// Profiles that slow servers or skew affinity produce output that is
@@ -132,27 +127,21 @@ type Experiment struct {
 	// negative control.
 	Recovery bool
 	// Engine selects the simulation engine: how rank bodies execute and
-	// how cross-rank interactions are ordered (see sim.Engine). Nil falls
-	// back to Platform.Engine, then to the event-loop scheduler
-	// (internal/sim/des). Virtual results are byte-identical across
-	// engines — the goroutine engine is kept as the oracle.
+	// how cross-rank interactions are ordered (see sim.Engine). Nil selects
+	// the event-loop scheduler (internal/sim/des). Virtual results are
+	// byte-identical across engines; tests set the goroutine engine here
+	// as the oracle.
 	Engine sim.Engine
 }
 
 // engine resolves the experiment's simulation engine: the experiment's own,
-// else the platform's, else the event-loop default.
+// else the event-loop default.
 func (e Experiment) engine() sim.Engine {
 	if e.Engine != nil {
 		return e.Engine
 	}
-	if e.Platform.Engine != nil {
-		return e.Platform.Engine
-	}
 	return des.New()
 }
-
-// EngineName reports the name of the engine the experiment would run under.
-func (e Experiment) EngineName() string { return e.engine().Name() }
 
 // Result is the outcome of one experiment.
 type Result struct {
@@ -294,11 +283,7 @@ func (e Experiment) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := e.Platform
-	if e.LockShards > 0 {
-		prof.LockShards = e.LockShards
-	}
-	mgr := prof.NewLockManager()
+	mgr := e.Platform.NewLockManager()
 
 	// Failure injection: the injector filters server traffic inside the
 	// file system, and lock-message faults wrap the manager in the faulty

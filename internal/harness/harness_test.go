@@ -296,39 +296,3 @@ func TestPatternString(t *testing.T) {
 		t.Fatal("pattern strings")
 	}
 }
-
-// TestLockShardsInvariant pins the sharded lock service's determinism
-// contract at the harness level: the full simulated result of a locking
-// experiment — makespan, bandwidth, bytes written — is byte-identical for
-// any lock-table shard count, on both manager flavours.
-func TestLockShardsInvariant(t *testing.T) {
-	for _, prof := range []platform.Profile{platform.Origin2000(), platform.IBMSP()} {
-		t.Run(prof.Name, func(t *testing.T) {
-			base := Experiment{
-				Platform: prof,
-				M:        64, N: 512, Procs: 8, Overlap: 8,
-				Pattern:  ColumnWise,
-				Strategy: core.Locking{},
-			}
-			want, err := base.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 4, 8} {
-				e := base
-				e.LockShards = shards
-				got, err := e.Run()
-				if err != nil {
-					t.Fatalf("S=%d: %v", shards, err)
-				}
-				if got.Makespan != want.Makespan ||
-					got.BandwidthMBs != want.BandwidthMBs ||
-					got.WrittenBytes != want.WrittenBytes {
-					t.Fatalf("S=%d diverged: got (%v, %v, %d), want (%v, %v, %d)",
-						shards, got.Makespan, got.BandwidthMBs, got.WrittenBytes,
-						want.Makespan, want.BandwidthMBs, want.WrittenBytes)
-				}
-			}
-		})
-	}
-}

@@ -16,22 +16,13 @@ type CentralConfig struct {
 	// locking protocols is central managed and its scalability is,
 	// hence, limited").
 	ServiceTime sim.VTime
-	// Shards partitions the manager's lock table across this many
-	// offset-stripe shards (0 or 1 keeps the single table). Sharding
-	// changes host-side concurrency and data-structure size only — the
-	// simulated service model and every virtual timestamp are invariant
-	// in the shard count.
-	Shards int
-	// ShardStripe is the offset-stripe width used to route requests to
-	// shards; 0 selects DefaultShardStripe.
-	ShardStripe int64
 }
 
 // Central is a centrally managed byte-range lock service.
 type Central struct {
 	cfg     CentralConfig
 	service *sim.Resource
-	tbl     grantTable
+	tbl     *table
 	coord   sim.Coord
 	obs     *obs.Recorder
 }
@@ -41,20 +32,12 @@ func NewCentral(cfg CentralConfig) *Central {
 	return &Central{
 		cfg:     cfg,
 		service: sim.NewResource("lockmgr"),
-		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
+		tbl:     newTable(),
 	}
 }
 
 // Name implements Manager.
 func (c *Central) Name() string { return "central" }
-
-// Shards returns the number of lock-table shards (at least 1).
-func (c *Central) Shards() int {
-	if c.cfg.Shards > 1 {
-		return c.cfg.Shards
-	}
-	return 1
-}
 
 // SetCoord routes the manager's shared-state transitions through a
 // determinism coordinator (see sim.Coord); lock owners double as actor ids.
@@ -65,8 +48,7 @@ func (c *Central) SetCoord(co sim.Coord) {
 
 // SetObs routes lock events and metrics into a recorder. Events are
 // emitted at the manager level, on the owner's own goroutine, never inside
-// the grant table — so the trace is invariant in the shard count by
-// construction.
+// the grant table.
 func (c *Central) SetObs(o *obs.Recorder) { c.obs = o }
 
 // Lock implements Manager: request travels to the manager, queues for

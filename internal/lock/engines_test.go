@@ -17,15 +17,15 @@ type coordManager interface {
 	SetCoord(sim.Coord)
 }
 
-// grantTableOf reaches the manager's table for relLatest probes.
-func grantTableOf(m Manager) grantTable {
+// tableOf reaches the manager's table for relLatest probes.
+func tableOf(m Manager) *table {
 	switch m := m.(type) {
 	case *Central:
 		return m.tbl
 	case *Distributed:
 		return m.tbl
 	case *Faulty:
-		return grantTableOf(m.inner)
+		return tableOf(m.inner)
 	default:
 		panic(fmt.Sprintf("no grant table on %T", m))
 	}
@@ -76,7 +76,7 @@ func runLockWorkload(t *testing.T, mk func() coordManager, eng sim.Engine, seed 
 	if err != nil {
 		t.Fatalf("engine %s: %v", eng.Name(), err)
 	}
-	tbl := grantTableOf(mgr)
+	tbl := tableOf(mgr)
 	if n := tbl.holders(); n != 0 {
 		t.Fatalf("engine %s: %d locks still held after the workload", eng.Name(), n)
 	}
@@ -90,17 +90,13 @@ func runLockWorkload(t *testing.T, mk func() coordManager, eng sim.Engine, seed 
 
 // TestManagersByteIdenticalAcrossEngines pins the event-loop engine's grant
 // times, release times and release history to the goroutine oracle on
-// seeded random contended workloads, for every manager flavour and shard
-// count.
+// seeded random contended workloads, for every manager flavour.
 func TestManagersByteIdenticalAcrossEngines(t *testing.T) {
 	flavours := []struct {
 		name string
 		mk   func() coordManager
 	}{
 		{"central", func() coordManager { return newCentralForTest() }},
-		{"central-sharded", func() coordManager {
-			return NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 128})
-		}},
 		{"distributed", func() coordManager {
 			return NewDistributed(DistributedConfig{
 				LocalCost: sim.Microsecond, MsgCost: msg, ServiceTime: svc,

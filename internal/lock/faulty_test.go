@@ -167,9 +167,6 @@ func TestFaultyByteIdenticalAcrossEngines(t *testing.T) {
 		mk   func() coordManager
 	}{
 		{"central", func() coordManager { return NewFaulty(newCentralForTest(), p, lease) }},
-		{"central-sharded", func() coordManager {
-			return NewFaulty(NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 128}), p, lease)
-		}},
 		{"distributed", func() coordManager { return NewFaulty(newDistributedForTest(), p, lease) }},
 	} {
 		for seed := int64(0); seed < 2; seed++ {

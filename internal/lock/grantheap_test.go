@@ -59,7 +59,7 @@ func TestWakeHeapPopsInTicketSeqOrder(t *testing.T) {
 // one held lock, releases it, and returns the order in which the waiters
 // were granted as each one releases in turn — the cascading mass wakeup the
 // heap exists for.
-func massWakeupOrder(t *testing.T, tbl grantTable, n int) []int {
+func massWakeupOrder(t *testing.T, tbl *table, n int) []int {
 	t.Helper()
 	e := interval.Extent{Off: 0, Len: 100}
 	tbl.acquire(999, e, Exclusive, 0)
@@ -92,22 +92,16 @@ func massWakeupOrder(t *testing.T, tbl grantTable, n int) []int {
 
 // TestMassWakeupGrantsInTicketOrder pins the heap-based release hand-off to
 // the table's deterministic contract: overlapping exclusive waiters are
-// granted strictly in ticket order, on both the single-mutex table and the
-// sharded one (the extent spans several stripes of the 4-shard table).
+// granted strictly in ticket order.
 func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 	const n = 60
-	for name, tbl := range map[string]grantTable{
-		"table":   newTable(),
-		"sharded": newShardedTable(4, 16),
-	} {
-		order := massWakeupOrder(t, tbl, n)
-		if len(order) != n {
-			t.Fatalf("%s: %d grants, want %d", name, len(order), n)
-		}
-		for i := 1; i < len(order); i++ {
-			if order[i-1] >= order[i] {
-				t.Fatalf("%s: grant order %v not in ticket order at %d", name, order, i)
-			}
+	order := massWakeupOrder(t, newTable(), n)
+	if len(order) != n {
+		t.Fatalf("%d grants, want %d", len(order), n)
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i-1] >= order[i] {
+			t.Fatalf("grant order %v not in ticket order at %d", order, i)
 		}
 	}
 }

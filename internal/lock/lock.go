@@ -13,15 +13,9 @@
 // caller really blocks until the conflicting holders really release, those
 // release timestamps are always available when needed (see package sim).
 //
-// Both managers run on a conflict-tracking grant table that can be
-// partitioned across S offset-stripe shards (CentralConfig.Shards,
-// DistributedConfig.Shards): each shard owns its own interval index of
-// granted locks, its own waiter index, and its own slice of the release
-// history, with cross-shard span locks taken in ascending shard order and
-// grants handed out in table-wide deterministic (ticket, seq) order.
-// Sharding multiplies host-side lock-service throughput without touching
-// the simulation model: virtual timings are byte-identical for any shard
-// count (see shardedTable).
+// Both managers run on one conflict-tracking grant table (see table). The
+// simulation engine runs one actor at a time, so partitioning the table
+// across mutexes cannot buy host parallelism within a cell.
 package lock
 
 import (
@@ -62,48 +56,6 @@ type Manager interface {
 	Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime
 	// Name identifies the manager flavour.
 	Name() string
-}
-
-// grantTable is the conflict-tracking core behind a manager: it registers
-// granted locks, blocks conflicting requests, and hands freed ranges to
-// waiters in deterministic (ticket, seq) order. Two implementations exist:
-// the single-mutex table (the original, kept as the oracle and the
-// single-shard fast path) and the stripe-sharded shardedTable. Both produce
-// identical grant times, grant order, and release history for any request
-// sequence — the property the sharded quick-tests pin.
-type grantTable interface {
-	// acquire blocks until (owner, e, mode) is grantable and returns the
-	// virtual grant time (>= earliest, and after every conflicting lock's
-	// virtual release).
-	acquire(owner int, e interval.Extent, mode Mode, earliest sim.VTime) sim.VTime
-	// release drops owner's lock on exactly e, records the virtual release
-	// time in the range history, and grants newly eligible waiters.
-	release(owner int, e interval.Extent, releaseAt sim.VTime) error
-	// holders returns the number of currently granted locks.
-	holders() int
-	// waiters returns the number of blocked requests.
-	waiters() int
-	// relLatest reports the latest recorded virtual release times of
-	// exclusive and shared locks over any byte of e (the observable state
-	// of the release history).
-	relLatest(e interval.Extent) (excl, shared sim.VTime)
-	// setCoord routes blocking and waking through a determinism
-	// coordinator (see sim.Coord).
-	setCoord(sim.Coord)
-}
-
-// newGrantTable picks the table implementation for a shard count: one shard
-// keeps the single-mutex table, more partitions the byte range by offset
-// stripe (stripe <= 0 selects DefaultShardStripe). The choice never changes
-// virtual timing — only host-side data-structure and mutex granularity.
-func newGrantTable(shards int, stripe int64) grantTable {
-	if shards <= 1 {
-		return newTable()
-	}
-	if stripe <= 0 {
-		stripe = DefaultShardStripe
-	}
-	return newShardedTable(shards, stripe)
 }
 
 // held is one granted lock.
@@ -332,5 +284,3 @@ func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
 // setCoord routes the table's blocking and waking through a determinism
 // coordinator.
 func (t *table) setCoord(c sim.Coord) { t.coord = c }
-
-var _ grantTable = (*table)(nil)

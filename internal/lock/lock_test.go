@@ -29,20 +29,11 @@ func newDistributedForTest() *Distributed {
 	})
 }
 
-// managers returns every manager flavour under test, including sharded
-// variants with a deliberately tiny stripe so the test extents (offsets up
-// to ~1000) straddle shard boundaries and exercise the cross-shard paths.
+// managers returns every manager flavour under test.
 func managers() map[string]Manager {
 	return map[string]Manager{
 		"central":     newCentralForTest(),
 		"distributed": newDistributedForTest(),
-		"central/S4": NewCentral(CentralConfig{
-			MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 64,
-		}),
-		"distributed/S4": NewDistributed(DistributedConfig{
-			LocalCost: sim.Microsecond, MsgCost: msg, ServiceTime: svc,
-			RevokeCost: 50 * sim.Microsecond, Shards: 4, ShardStripe: 64,
-		}),
 	}
 }
 

@@ -24,9 +24,6 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 		mk   func() coordManager
 	}{
 		{"central", func() coordManager { return newCentralForTest() }},
-		{"central-sharded", func() coordManager {
-			return NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 64})
-		}},
 		{"distributed", func() coordManager { return newDistributedForTest() }},
 	}
 	for _, flavour := range flavours {
@@ -38,8 +35,6 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 			coord := eng.NewCoord(2)
 			mgr.SetCoord(coord)
 
-			// Span two shard stripes so the sharded flavour parks on the
-			// cross-shard acquire path.
 			e := ext(0, 128)
 			var unwound bool
 			err := eng.Run(coord, 2, func(owner int) {
@@ -72,7 +67,7 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 			// The unwind relocked and released the table mutex on its way
 			// out; these probes would deadlock if it had not. The wedged
 			// grant itself is still registered.
-			tbl := grantTableOf(inner)
+			tbl := tableOf(inner)
 			if n := tbl.holders(); n != 1 {
 				t.Errorf("holders = %d after teardown, want the wedged grant", n)
 			}

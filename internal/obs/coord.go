@@ -49,8 +49,8 @@ func (t *CoordTracer) Await(id int, at sim.VTime) {
 
 // Block implements sim.Coord and emits the park event. Emission happens
 // here rather than in Park because Block always runs under the shared
-// structure's lock while Park may run after it is dropped (the sharded
-// lock table's reserve/park window): the waker needs that same lock
+// structure's lock while Park may run after it is dropped (a Park with a
+// nil locker): the waker needs that same lock
 // before it can Wake, so the park append is mutex-ordered before the
 // wake append and the park timestamp cannot race with the wake bound.
 func (t *CoordTracer) Block(id int) {

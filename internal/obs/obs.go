@@ -12,8 +12,7 @@
 // to Wake, and the sleeper's resume append happens only after the inner
 // Park returns, which the matching Wake precedes. Because both simulation
 // engines admit actions in identical (virtual time, actor id) order, the
-// merged stream is byte-identical across engines, worker counts and
-// lock-shard counts.
+// merged stream is byte-identical across engines and worker counts.
 //
 // Memory: NewRecorder's limit selects unbounded capture (0), a per-actor
 // ring buffer keeping the newest events (limit > 0, for P=16384 runs), or

@@ -73,18 +73,6 @@ type Profile struct {
 	LockService  sim.VTime
 	LockLocal    sim.VTime
 	LockRevoke   sim.VTime
-	// LockShards partitions the lock manager's byte-range table across
-	// this many offset-stripe shards (0 or 1 keeps the single table); the
-	// shard stripe follows the platform's file-stripe size. Virtual
-	// timings are invariant in the shard count — sharding multiplies
-	// host-side lock-service throughput only (see internal/lock).
-	LockShards int
-	// Engine, when non-nil, selects the simulation engine experiments on
-	// this profile run under (see sim.Engine). Nil defers to the harness
-	// default (the event-loop scheduler); virtual results are
-	// byte-identical across engines, so this is a host-performance knob,
-	// not a model parameter.
-	Engine sim.Engine
 }
 
 // SupportsLocking reports whether the platform has byte-range locking.
@@ -123,8 +111,6 @@ func (p Profile) NewLockManager() lock.Manager {
 		return lock.NewCentral(lock.CentralConfig{
 			MsgCost:     p.LockMsgCost,
 			ServiceTime: p.LockService,
-			Shards:      p.LockShards,
-			ShardStripe: p.StripeSize,
 		})
 	case DistributedLocking:
 		return lock.NewDistributed(lock.DistributedConfig{
@@ -132,8 +118,6 @@ func (p Profile) NewLockManager() lock.Manager {
 			MsgCost:     p.LockMsgCost,
 			ServiceTime: p.LockService,
 			RevokeCost:  p.LockRevoke,
-			Shards:      p.LockShards,
-			ShardStripe: p.StripeSize,
 		})
 	default:
 		return nil

@@ -14,7 +14,7 @@ import (
 
 // Schema identifies the emitted result format, for future trajectory
 // tracking over BENCH_*.json files.
-const Schema = "atomio.bench/v1"
+const Schema = "atomio.bench/v2"
 
 // Record is one cell's outcome flattened for machine consumption. Virtual
 // times are integer nanoseconds of simulated time; WallNS is real time.
@@ -27,8 +27,6 @@ type Record struct {
 	Overlap      int     `json:"overlap"`
 	Pattern      string  `json:"pattern"`
 	Strategy     string  `json:"strategy"`
-	Engine       string  `json:"engine"`
-	LockShards   int     `json:"lock_shards,omitempty"`
 	Servers      int     `json:"servers,omitempty"`
 	Scenario     string  `json:"scenario,omitempty"`
 	Fault        string  `json:"fault,omitempty"`
@@ -88,19 +86,17 @@ func Records(results []CellResult) []Record {
 	for i, r := range results {
 		e := r.Cell.Experiment
 		rec := Record{
-			ID:         r.Cell.ID,
-			Platform:   e.Platform.Name,
-			M:          e.M,
-			N:          e.N,
-			Procs:      e.Procs,
-			Overlap:    e.Overlap,
-			Pattern:    e.Pattern.String(),
-			Strategy:   e.Strategy.Name(),
-			Engine:     e.EngineName(),
-			LockShards: e.LockShards,
-			Servers:    e.Servers,
-			Recovery:   e.Recovery,
-			WallNS:     r.Wall.Nanoseconds(),
+			ID:       r.Cell.ID,
+			Platform: e.Platform.Name,
+			M:        e.M,
+			N:        e.N,
+			Procs:    e.Procs,
+			Overlap:  e.Overlap,
+			Pattern:  e.Pattern.String(),
+			Strategy: e.Strategy.Name(),
+			Servers:  e.Servers,
+			Recovery: e.Recovery,
+			WallNS:   r.Wall.Nanoseconds(),
 		}
 		if e.Scenario != nil {
 			rec.Scenario = e.Scenario.Name
@@ -186,7 +182,7 @@ func EmitFiles(jsonPath, csvPath string, results []CellResult) error {
 // "server:requests:bytes:busy_ns:free_at_ns" joined by ';'.
 var csvHeader = []string{
 	"id", "platform", "m", "n", "procs", "overlap", "pattern", "strategy",
-	"engine", "lock_shards", "servers", "scenario", "fault", "recovery",
+	"servers", "scenario", "fault", "recovery",
 	"array_bytes", "written_bytes", "makespan_ns", "bandwidth_mbs",
 	"wall_ns", "verdict", "replayed", "server_stats",
 	"messages", "max_queue_depth", "lock_wait_p50_ns", "lock_wait_p99_ns",
@@ -275,8 +271,7 @@ func WriteCSV(w io.Writer, recs []Record) error {
 			r.ID, r.Platform,
 			strconv.Itoa(r.M), strconv.Itoa(r.N),
 			strconv.Itoa(r.Procs), strconv.Itoa(r.Overlap),
-			r.Pattern, r.Strategy, r.Engine,
-			strconv.Itoa(r.LockShards),
+			r.Pattern, r.Strategy,
 			strconv.Itoa(r.Servers),
 			r.Scenario,
 			r.Fault,
@@ -324,8 +319,8 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	recs := make([]Record, 0, len(rows)-1)
 	for n, row := range rows[1:] {
 		rec := Record{ID: row[0], Platform: row[1], Pattern: row[6], Strategy: row[7],
-			Engine: row[8], Scenario: row[11], Fault: row[12], Verdict: row[19],
-			Error: row[26]}
+			Scenario: row[9], Fault: row[10], Verdict: row[17],
+			Error: row[24]}
 		var err error
 		parse := func(i int, dst *int) {
 			if err == nil {
@@ -341,28 +336,27 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		parse(3, &rec.N)
 		parse(4, &rec.Procs)
 		parse(5, &rec.Overlap)
-		parse(9, &rec.LockShards)
-		parse(10, &rec.Servers)
+		parse(8, &rec.Servers)
 		if err == nil {
-			rec.Recovery, err = strconv.ParseBool(row[13])
+			rec.Recovery, err = strconv.ParseBool(row[11])
 		}
-		parse64(14, &rec.ArrayBytes)
-		parse64(15, &rec.WrittenBytes)
-		parse64(16, &rec.MakespanNS)
+		parse64(12, &rec.ArrayBytes)
+		parse64(13, &rec.WrittenBytes)
+		parse64(14, &rec.MakespanNS)
 		if err == nil {
-			rec.BandwidthMBs, err = strconv.ParseFloat(row[17], 64)
+			rec.BandwidthMBs, err = strconv.ParseFloat(row[15], 64)
 		}
-		parse64(18, &rec.WallNS)
+		parse64(16, &rec.WallNS)
 		if err == nil {
-			rec.Replayed, err = parseReplayed(row[20])
+			rec.Replayed, err = parseReplayed(row[18])
 		}
 		if err == nil {
-			rec.ServerStats, err = parseServerStats(row[21])
+			rec.ServerStats, err = parseServerStats(row[19])
 		}
-		parse64(22, &rec.Messages)
-		parse64(23, &rec.MaxQueueDepth)
-		parse64(24, &rec.LockWaitP50NS)
-		parse64(25, &rec.LockWaitP99NS)
+		parse64(20, &rec.Messages)
+		parse64(21, &rec.MaxQueueDepth)
+		parse64(22, &rec.LockWaitP50NS)
+		parse64(23, &rec.LockWaitP99NS)
 		if err != nil {
 			return nil, fmt.Errorf("runner: CSV row %d: %w", n+2, err)
 		}

@@ -28,9 +28,6 @@ func TestRecordsCarryMetrics(t *testing.T) {
 		if r.Pattern != "column-wise" {
 			t.Errorf("cell %s pattern %q", r.ID, r.Pattern)
 		}
-		if r.Engine != "eventloop" {
-			t.Errorf("cell %s engine %q, want the eventloop default", r.ID, r.Engine)
-		}
 	}
 }
 
@@ -73,8 +70,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	results = append(results, bad)
 
 	recs := Records(results)
-	// A non-default engine name must survive the packed format too.
-	recs[0].Engine = "goroutine"
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)

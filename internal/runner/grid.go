@@ -50,18 +50,10 @@ type Grid struct {
 	// AtomicListIO grants the simulated file system atomic vectored
 	// writes. Cells using the listio strategy get it regardless.
 	AtomicListIO bool
-	// LockShards overrides the lock manager's table shard count on every
-	// cell (0 keeps platform defaults). Reported numbers are invariant in
-	// the shard count; only host-side wall-clock can change.
-	LockShards int
 	// Servers overrides the simulated I/O-server count on every cell
-	// (0 keeps platform defaults). Unlike LockShards this is a real model
-	// parameter: reported numbers change with it.
+	// (0 keeps platform defaults). This is a real model parameter:
+	// reported numbers change with it.
 	Servers int
-	// SharedStore runs every cell on the pre-striping shared file store
-	// (the oracle layout) instead of per-server stores. Reported numbers
-	// are byte-identical either way — the flag is a live oracle check.
-	SharedStore bool
 	// TraceEvents records every cell's structured event stream and metrics
 	// registry (see internal/obs); the metrics feed the messages /
 	// max_queue_depth / lock-wait columns of emitted records.
@@ -105,9 +97,7 @@ func (g Grid) Cells() []Cell {
 							Verify:       g.Verify,
 							Trace:        g.Trace,
 							AtomicListIO: g.AtomicListIO || strat.Name() == "listio",
-							LockShards:   g.LockShards,
 							Servers:      g.Servers,
-							SharedStore:  g.SharedStore,
 							TraceEvents:  g.TraceEvents,
 							EventLimit:   g.TraceLimit,
 						},
@@ -247,45 +237,6 @@ func ScalingGridTo(maxP int) []Cell {
 			continue
 		}
 		add(pt, locking)
-	}
-	return cells
-}
-
-// ShardSweepShards are the lock-table shard counts the shard sweep runs.
-var ShardSweepShards = []int{1, 2, 4, 8}
-
-// ShardSweepGrid sweeps the lock-table shard count on one contended
-// multi-stripe locking cell: P ranks writing column-wise with interleaved
-// non-contiguous views on the central-manager platform, so every rank's
-// span lock crosses many offset stripes and every shard count exercises the
-// cross-shard reserve/commit path. One cell per S in ShardSweepShards, each
-// emitting a normal atomio.bench/v1 record (cell IDs carry an "+S<n>"
-// suffix on the size label). The simulated numbers are byte-identical
-// across the sweep — that invariance is the point; wall_ns is where the
-// shard count shows up.
-func ShardSweepGrid() []Cell {
-	prof := platform.Origin2000()
-	const m, n, procs = 512, 64 * 64, 64
-	strat, err := core.ByName("locking")
-	if err != nil {
-		panic(err)
-	}
-	label := fmt.Sprintf("%dx%d", m, n)
-	var cells []Cell
-	for _, s := range ShardSweepShards {
-		cells = append(cells, Cell{
-			ID: CellID(prof.Name, fmt.Sprintf("%s+S%d", label, s), procs, strat.Name()),
-			Experiment: harness.Experiment{
-				Platform:   prof,
-				M:          m,
-				N:          n,
-				Procs:      procs,
-				Overlap:    ScalingOverlap,
-				Pattern:    harness.ColumnWise,
-				Strategy:   strat,
-				LockShards: s,
-			},
-		})
 	}
 	return cells
 }

@@ -137,31 +137,6 @@ func TestScalingSmallestCellRuns(t *testing.T) {
 	}
 }
 
-func TestShardSweepGridRuns(t *testing.T) {
-	cells := ShardSweepGrid()
-	if len(cells) != len(ShardSweepShards) {
-		t.Fatalf("cells = %d, want one per shard count %v", len(cells), ShardSweepShards)
-	}
-	if testing.Short() {
-		t.Skip("full simulation cells")
-	}
-	results := Run(cells, Options{Workers: 2})
-	if err := FirstErr(results); err != nil {
-		t.Fatal(err)
-	}
-	// The sweep's whole point: simulated numbers are invariant in the
-	// shard count, and the records carry it.
-	recs := Records(results)
-	for i, r := range recs {
-		if r.LockShards != ShardSweepShards[i] {
-			t.Fatalf("record %d lock_shards = %d, want %d", i, r.LockShards, ShardSweepShards[i])
-		}
-		if r.MakespanNS != recs[0].MakespanNS || r.BandwidthMBs != recs[0].BandwidthMBs {
-			t.Fatalf("shard count changed simulated output: %+v vs %+v", r, recs[0])
-		}
-	}
-}
-
 func TestDegradedGridShape(t *testing.T) {
 	cells := DegradedGrid()
 	// 4 scenarios × 2 process counts × 2 Cplant strategies.

@@ -172,7 +172,7 @@ func TestSchedulerNotReusable(t *testing.T) {
 	}
 }
 
-// TestEngineName pins the registry name the facade and -engine flag use.
+// TestEngineName pins the name the engine reports in diagnostics.
 func TestEngineName(t *testing.T) {
 	if got := des.New().Name(); got != "eventloop" {
 		t.Fatalf("Name() = %q, want %q", got, "eventloop")

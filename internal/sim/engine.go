@@ -51,7 +51,7 @@ type Coord interface {
 // scheduler in internal/sim/des (every actor a resumable coroutine driven
 // by one event queue, no goroutine parking on the hot path).
 type Engine interface {
-	// Name is the engine's registry name ("goroutine", "eventloop").
+	// Name identifies the engine in diagnostics ("goroutine", "eventloop").
 	Name() string
 	// NewCoord returns a coordinator of this engine's flavour for actors
 	// 0..actors-1. Pass it to Run and to every structure the simulation

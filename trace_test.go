@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"atomio/internal/obs"
+	"atomio/internal/sim"
 )
 
 // traceSpec builds the mid-size traced cell the determinism tests run:
@@ -25,40 +26,41 @@ func traceSpec(t *testing.T, strategy string, extra ...Option) *Spec {
 	return s
 }
 
-// traceBytes runs a spec and serializes its trace as JSONL.
-func traceBytes(t *testing.T, s *Spec) []byte {
-	t.Helper()
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Events == nil || res.Metrics == nil {
-		t.Fatal("traced run returned no recorder or metrics")
-	}
-	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf, res.Events); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestTraceByteIdenticalAcrossEnginesAndShards asserts the tentpole
-// determinism contract: the serialized event stream of a traced cell is
-// byte-identical under every engine and lock-shard count.
-func TestTraceByteIdenticalAcrossEnginesAndShards(t *testing.T) {
+// TestTraceByteIdenticalAcrossEngines asserts the tentpole determinism
+// contract: the serialized atomio.trace/v1 stream of a traced cell is
+// byte-identical under the event-loop engine and the goroutine oracle.
+func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
 	for _, strategy := range []string{"locking", "coloring"} {
 		t.Run(strategy, func(t *testing.T) {
-			base := traceBytes(t, traceSpec(t, strategy))
-			if len(bytes.Split(base, []byte("\n"))) < 10 {
+			cells, err := Grid{
+				Platforms:   []string{"Origin2000"},
+				Sizes:       []Size{{M: 256, N: 2048}},
+				Procs:       []int{4},
+				Overlap:     8,
+				Strategies:  []string{strategy},
+				TraceEvents: true,
+			}.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := cells[0]
+			oracle.Experiment.Engine = sim.Goroutines{}
+			var traces [2][]byte
+			for i, r := range RunGrid([]Cell{cells[0], oracle}, RunOptions{Workers: 1}) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				var buf bytes.Buffer
+				if err := WriteTraceJSONL(&buf, r.Result.Events); err != nil {
+					t.Fatal(err)
+				}
+				traces[i] = buf.Bytes()
+			}
+			if len(bytes.Split(traces[0], []byte("\n"))) < 10 {
 				t.Fatal("baseline trace suspiciously small; test vacuous")
 			}
-			for _, engine := range []string{"eventloop", "goroutine"} {
-				for _, shards := range []int{1, 8} {
-					got := traceBytes(t, traceSpec(t, strategy, Engine(engine), LockShards(shards)))
-					if !bytes.Equal(got, base) {
-						t.Errorf("trace diverges under engine=%s shards=%d", engine, shards)
-					}
-				}
+			if !bytes.Equal(traces[0], traces[1]) {
+				t.Error("trace diverges between the event-loop engine and the goroutine oracle")
 			}
 		})
 	}
