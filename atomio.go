@@ -119,13 +119,12 @@ type Spec struct {
 	StoreData bool
 	// Verify checks MPI atomicity on the resulting file content.
 	Verify bool
-	// Trace records a per-phase virtual-time breakdown.
+	// Trace records the structured virtual-time event stream and the
+	// metrics registry (Result.Events / Result.Metrics), which carries the
+	// per-rank phase breakdown.
 	Trace bool
-	// TraceEvents records the structured virtual-time event stream and the
-	// metrics registry (Result.Events / Result.Metrics).
-	TraceEvents bool
-	// TraceLimit bounds per-actor event memory when TraceEvents is on
-	// (> 0 ring of newest events, 0 unbounded, < 0 metrics only).
+	// TraceLimit bounds per-actor event memory when Trace is on (> 0 ring
+	// of newest events, 0 unbounded, < 0 metrics only).
 	TraceLimit int
 	// AtomicListIO grants the file system atomic vectored writes
 	// (implied by the "listio" strategy).
@@ -135,8 +134,6 @@ type Spec struct {
 	Checkpoints int
 	// Compute is virtual compute time advanced before each checkpoint.
 	Compute time.Duration
-	// Timeout overrides the run's real-time deadlock guard.
-	Timeout time.Duration
 }
 
 // Option configures a Spec under construction; options that receive
@@ -244,24 +241,16 @@ func Verify(on bool) Option {
 	return func(s *Spec) error { s.Verify = on; return nil }
 }
 
-// Trace records a per-phase virtual-time breakdown of the write.
-func Trace(on bool) Option {
-	return func(s *Spec) error { s.Trace = on; return nil }
-}
-
-// TraceEvents records the structured virtual-time event stream and metrics
-// registry of the run. The stream is byte-identical across simulation
-// engines and worker counts; export it with
-// WriteTraceJSONL or WriteChromeTrace.
-func TraceEvents(on bool) Option {
-	return func(s *Spec) error { s.TraceEvents = on; return nil }
-}
-
-// TraceLimit bounds per-actor event memory for traced runs: n > 0 keeps
-// only the newest n events per actor (ring buffer), 0 is unbounded, n < 0
-// records metrics only. Large-P cells use a ring.
-func TraceLimit(n int) Option {
-	return func(s *Spec) error { s.TraceLimit = n; return nil }
+// Trace records the run's structured virtual-time event stream and
+// metrics registry. limit bounds per-actor event memory: 0 is unbounded,
+// limit > 0 keeps only the newest limit events per actor (ring buffer, for
+// large-P cells), limit < 0 records metrics only. The stream is
+// byte-identical across simulation engines and worker counts; export it
+// with WriteTraceJSONL or WriteChromeTrace. Metrics are exact under every
+// limit, and so is the phase breakdown Result.Events.RenderPhases prints
+// from them.
+func Trace(limit int) Option {
+	return func(s *Spec) error { s.Trace, s.TraceLimit = true, limit; return nil }
 }
 
 // AtomicListIO grants the simulated file system the §3.2 atomic
@@ -291,18 +280,6 @@ func Compute(d time.Duration) Option {
 			return fmt.Errorf("atomio: compute time must be non-negative, got %v", d)
 		}
 		s.Compute = d
-		return nil
-	}
-}
-
-// Timeout overrides the run's real-time deadlock guard (0 keeps the
-// simulator default; large-P runs need more).
-func Timeout(d time.Duration) Option {
-	return func(s *Spec) error {
-		if d < 0 {
-			return fmt.Errorf("atomio: timeout must be non-negative, got %v", d)
-		}
-		s.Timeout = d
 		return nil
 	}
 }
@@ -398,15 +375,13 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 		Strategy:     strat,
 		StoreData:    s.StoreData || s.Verify,
 		Verify:       s.Verify,
-		Trace:        s.Trace,
 		AtomicListIO: s.AtomicListIO || strat.Name() == "listio",
 		Servers:      s.Servers,
 		Recovery:     s.Recovery,
-		TraceEvents:  s.TraceEvents,
+		TraceEvents:  s.Trace,
 		EventLimit:   s.TraceLimit,
 		Steps:        s.Checkpoints,
 		Compute:      sim.VTime(s.Compute),
-		RunTimeout:   s.Timeout,
 	}
 	if s.Fault != "" {
 		script, err := FaultByName(s.Fault)

@@ -52,6 +52,9 @@ func TestParseFlags(t *testing.T) {
 		{"cells without fleet", []string{"-cells", "50"}, false, "only meaningful with -fleet"},
 		{"zero cells", []string{"-fleet", "-cells", "0"}, false, "-cells must be at least 1"},
 		{"non-numeric seed", []string{"-fleet", "-seed", "x"}, false, "invalid value"},
+		{"trace limit with trace-out", []string{"-trace-out", "t.jsonl", "-trace-limit", "16"}, true, ""},
+		{"trace limit alone", []string{"-trace-limit", "16"}, false, "needs -trace-out"},
+		{"trace limit with metrics", []string{"-metrics", "-trace-limit", "16"}, false, "needs -trace-out"},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 	}
 	for _, tc := range cases {

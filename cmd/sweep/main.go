@@ -10,7 +10,8 @@
 // Cells run concurrently on a worker pool (-workers); results can also be
 // emitted as JSON or CSV (-json, -csv), per-cell event traces as JSONL or
 // Chrome trace-event JSON (-trace-out), and the metrics registry into the
-// emitted records (-metrics). Malformed flag values exit non-zero with a
+// emitted records (-metrics); -trace prints each cell's phase breakdown
+// from the recorder's per-rank counters. Malformed flag values exit non-zero with a
 // diagnostic. Flags are declared through the shared internal/cli layer and
 // the grid is resolved and executed by the public atomio facade.
 package main
@@ -65,26 +66,33 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	return cfg, nil
 }
 
-func main() {
-	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with injected streams, for tests: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg, err := parseFlags(args, stderr)
 	if err != nil {
-		os.Exit(cli.ExitCode(err))
+		return cli.ExitCode(err)
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return 1
 	}
 
 	prof, err := atomio.PlatformByName(cfg.platform)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var strategies []string
 	for _, name := range cfg.strategies {
 		if name == "locking" && !prof.SupportsLocking() {
-			fmt.Fprintf(os.Stderr, "sweep: skipping locking (%s has no byte-range locking)\n", prof.Name)
+			fmt.Fprintf(stderr, "sweep: skipping locking (%s has no byte-range locking)\n", prof.Name)
 			continue
 		}
 		strategies = append(strategies, name)
 	}
 	if len(strategies) == 0 {
-		fatal(fmt.Errorf("no runnable strategies on %s", prof.Name))
+		return fail(fmt.Errorf("no runnable strategies on %s", prof.Name))
 	}
 
 	grid := atomio.Grid{
@@ -95,59 +103,59 @@ func main() {
 		Pattern:    cfg.pattern,
 		Strategies: strategies,
 		StoreData:  cfg.store,
-		Trace:      cfg.trace,
 	}
 	cfg.model.Apply(&grid)
 	cfg.events.Apply(&grid)
+	if cfg.trace && !grid.Trace {
+		// The phase breakdown reads the recorder's per-rank counters;
+		// metrics-only recording keeps them without retaining events.
+		grid.Trace, grid.TraceLimit = true, -1
+	}
 	cells, err := grid.Cells()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	results := atomio.RunGrid(cells, cfg.out.RunOptions("sweep"))
 	if err := atomio.EmitFiles(cfg.out.JSON, cfg.out.CSV, results); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := cfg.events.Write(results); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("%s  %s %dx%d  R=%d\n", prof.Name, cfg.pattern, cfg.shape.M, cfg.shape.N, cfg.shape.Overlap)
-	fmt.Printf("%-6s", "P")
+	fmt.Fprintf(stdout, "%s  %s %dx%d  R=%d\n", prof.Name, cfg.pattern, cfg.shape.M, cfg.shape.N, cfg.shape.Overlap)
+	fmt.Fprintf(stdout, "%-6s", "P")
 	for _, name := range strategies {
-		fmt.Printf("%16s", name)
+		fmt.Fprintf(stdout, "%16s", name)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	// Cells enumerate process counts outermost, strategies innermost — the
 	// table's row-major order.
 	i := 0
-	failed := false
+	status := 0
 	for range cfg.procs {
-		fmt.Printf("%-6d", cells[i].Experiment.Procs)
+		fmt.Fprintf(stdout, "%-6d", cells[i].Experiment.Procs)
 		for range strategies {
 			r := results[i]
 			if r.Err != nil {
-				failed = true
-				fmt.Printf("%16s", "error")
-				fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", r.Cell.ID, r.Err)
+				status = 1
+				fmt.Fprintf(stdout, "%16s", "error")
+				fmt.Fprintf(stderr, "sweep: %s: %v\n", r.Cell.ID, r.Err)
 			} else {
-				fmt.Printf("%11.2f MB/s", r.Result.BandwidthMBs)
+				fmt.Fprintf(stdout, "%11.2f MB/s", r.Result.BandwidthMBs)
 			}
 			i++
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if cfg.trace {
 		for _, r := range results {
-			if r.Err != nil || r.Result.Phases == nil {
+			if r.Err != nil {
 				continue
 			}
-			fmt.Printf("\nP=%d %s phase breakdown:\n%s",
-				r.Cell.Experiment.Procs, r.Cell.Experiment.Strategy.Name(), r.Result.Phases.Render())
+			fmt.Fprintf(stdout, "\nP=%d %s phase breakdown:\n%s",
+				r.Cell.Experiment.Procs, r.Cell.Experiment.Strategy.Name(), r.Result.Events.RenderPhases())
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return status
 }
-
-func fatal(err error) { cli.Fatal("sweep", err) }

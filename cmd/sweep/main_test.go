@@ -2,10 +2,40 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestPhaseTableGolden pins sweep -trace's stdout — the bandwidth table and
+// every cell's phase breakdown — to a fixture. The table reads the
+// recorder's per-rank counters, which are exact under any event limit, so
+// metrics-only, unbounded and ring recording print the same bytes.
+func TestPhaseTableGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "phases.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"-m", "256", "-n", "2048", "-p", "4,8", "-r", "16",
+		"-strategies", "locking,coloring,ordering,twophase", "-trace", "-workers", "2"}
+	dir := t.TempDir()
+	for _, extra := range [][]string{
+		nil,
+		{"-metrics"},
+		{"-trace-out", filepath.Join(dir, "t.jsonl")},
+		{"-trace-out", filepath.Join(dir, "r.jsonl"), "-trace-limit", "16"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(append(append([]string(nil), base...), extra...), &stdout, &stderr); code != 0 {
+			t.Fatalf("sweep %v exited %d: %s", extra, code, stderr.String())
+		}
+		if stdout.String() != string(want) {
+			t.Errorf("sweep %v stdout differs from testdata/phases.golden:\n%s", extra, stdout.String())
+		}
+	}
+}
 
 // TestParseFlags tables the sweep command line, covering the malformed
 // inputs for every list-valued flag.
@@ -31,6 +61,10 @@ func TestParseFlags(t *testing.T) {
 		{"unknown strategy", []string{"-strategies", "osmosis"}, false, "registered:"},
 		{"empty strategy entry", []string{"-strategies", "locking,,ordering"}, false, "empty entry"},
 		{"negative servers", []string{"-servers", "-9"}, false, "non-negative"},
+		{"trace with metrics", []string{"-trace", "-metrics"}, true, ""},
+		{"trace limit with trace-out", []string{"-trace-out", "t.jsonl", "-trace-limit", "16"}, true, ""},
+		{"trace limit alone", []string{"-trace-limit", "16"}, false, "needs -trace-out"},
+		{"trace limit with metrics", []string{"-metrics", "-trace-limit", "16"}, false, "needs -trace-out"},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 		// No flag selects the engine, lock shards or the shared store.
 		{"negative lockshards", []string{"-lockshards", "-1"}, false, "not defined"},

@@ -45,7 +45,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad servers", []Option{Servers(-1)}, "non-negative"},
 		{"bad checkpoints", []Option{Checkpoints(-1)}, "non-negative"},
 		{"bad compute", []Option{Compute(-time.Second)}, "non-negative"},
-		{"bad timeout", []Option{Timeout(-time.Second)}, "non-negative"},
 		{"nil option", []Option{nil}, "nil option"},
 		{"locking on Cplant", []Option{Platform("Cplant"), Strategy("locking")}, "has none"},
 		{"affinity scenario off-platform",

@@ -48,17 +48,17 @@ type Grid struct {
 	SkipUnsupported bool
 	StoreData       bool
 	Verify          bool
-	Trace           bool
 	// AtomicListIO grants the simulated file system atomic vectored
 	// writes; cells using the listio strategy get it regardless.
 	AtomicListIO bool
 	// Servers overrides the simulated I/O-server count on every cell
 	// (0 keeps platform defaults; a real model parameter).
 	Servers int
-	// TraceEvents records every cell's structured event stream and metrics
+	// Trace records every cell's structured event stream and metrics
 	// registry; the metrics feed the messages / max_queue_depth /
-	// lock-wait columns of emitted records.
-	TraceEvents bool
+	// lock-wait columns of emitted records and the per-rank phase
+	// breakdown (TraceRecorder.RenderPhases).
+	Trace bool
 	// TraceLimit bounds per-actor event memory on traced cells (> 0 ring
 	// of newest events, 0 unbounded, < 0 metrics only).
 	TraceLimit int
@@ -92,10 +92,9 @@ func (g Grid) Cells() ([]Cell, error) {
 		SkipUnsupported: g.SkipUnsupported,
 		StoreData:       g.StoreData,
 		Verify:          g.Verify,
-		Trace:           g.Trace,
 		AtomicListIO:    g.AtomicListIO,
 		Servers:         g.Servers,
-		TraceEvents:     g.TraceEvents,
+		TraceEvents:     g.Trace,
 		TraceLimit:      g.TraceLimit,
 	}
 	for _, name := range g.Strategies {

@@ -75,7 +75,7 @@ var Layers = []Layer{
 	},
 	{
 		Match: "internal/harness",
-		Allow: []string{"internal/core", "internal/datatype", "internal/interval", "internal/lock", "internal/mpi", "internal/mpiio", "internal/obs", "internal/pfs", "internal/platform", "internal/sim", "internal/trace", "internal/verify", "internal/workload"},
+		Allow: []string{"internal/core", "internal/datatype", "internal/interval", "internal/lock", "internal/mpi", "internal/mpiio", "internal/obs", "internal/pfs", "internal/platform", "internal/sim", "internal/verify", "internal/workload"},
 		Why:   "one experiment cell assembles the whole stack",
 	},
 	{
@@ -85,12 +85,12 @@ var Layers = []Layer{
 	},
 	{
 		Match: "internal/mpiio",
-		Allow: []string{"internal/core", "internal/datatype", "internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs", "internal/trace"},
+		Allow: []string{"internal/core", "internal/datatype", "internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs"},
 		Why:   "MPI_File handles tie communicator, file system, locks, views, and strategy together",
 	},
 	{
 		Match: "internal/core",
-		Allow: []string{"internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/pfs", "internal/trace"},
+		Allow: []string{"internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs"},
 		Why:   "the paper's strategies; never the harness or runner above them",
 	},
 	{
@@ -127,11 +127,6 @@ var Layers = []Layer{
 		Match: "internal/pfs",
 		Allow: []string{"internal/interval", "internal/obs", "internal/pfs", "internal/sim"},
 		Why:   "striped storage is extent algebra under virtual time; scenario profiles wrap pfs configs",
-	},
-	{
-		Match: "internal/trace",
-		Allow: []string{"internal/obs", "internal/sim"},
-		Why:   "phase traces are labelled virtual durations",
 	},
 	{
 		Match: "internal/obs",

@@ -190,6 +190,9 @@ func (t *Trace) validate() error {
 	if t.Limit < 0 {
 		return fmt.Errorf("-trace-limit must be non-negative, got %d", t.Limit)
 	}
+	if t.Limit > 0 && t.Out == "" {
+		return fmt.Errorf("-trace-limit %d bounds retained events and needs -trace-out", t.Limit)
+	}
 	return nil
 }
 
@@ -210,7 +213,7 @@ func (t *Trace) Apply(g *atomio.Grid) {
 	if !t.Enabled() {
 		return
 	}
-	g.TraceEvents = true
+	g.Trace = true
 	g.TraceLimit = t.limit()
 }
 

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"atomio"
 )
 
 // TestParseProcs mirrors the contract the binaries rely on: trimmed,
@@ -114,6 +116,50 @@ func TestShapeValidation(t *testing.T) {
 		app.Shape(256, 2048, 16)
 		if err := app.Parse(bad); err == nil {
 			t.Errorf("Parse(%v): want error", bad)
+		}
+	}
+}
+
+// TestTraceValidation tables the shared tracing group: a -trace-limit that
+// no -trace-out would honour is rejected, and the accepted forms bind the
+// facade grid's recording mode.
+func TestTraceValidation(t *testing.T) {
+	cases := []struct {
+		args  []string
+		ok    bool
+		want  string // diagnostic substring for the failing cases
+		trace bool
+		limit int
+	}{
+		{nil, true, "", false, 0},
+		{[]string{"-metrics"}, true, "", true, -1},
+		{[]string{"-trace-out", "t.jsonl"}, true, "", true, 0},
+		{[]string{"-trace-out", "t.jsonl", "-trace-limit", "8"}, true, "", true, 8},
+		{[]string{"-trace-out", "t.json", "-trace-limit", "8", "-metrics"}, true, "", true, 8},
+		{[]string{"-trace-limit", "8"}, false, "needs -trace-out", false, 0},
+		{[]string{"-trace-limit", "8", "-metrics"}, false, "needs -trace-out", false, 0},
+		{[]string{"-trace-out", "t.jsonl", "-trace-limit", "-1"}, false, "non-negative", false, 0},
+	}
+	for _, tc := range cases {
+		var buf strings.Builder
+		app := New("test")
+		app.SetOutput(&buf)
+		tr := app.Trace()
+		err := app.Parse(tc.args)
+		if (err == nil) != tc.ok {
+			t.Errorf("Parse(%v) err = %v, want ok=%v", tc.args, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			if !strings.Contains(buf.String(), tc.want) {
+				t.Errorf("Parse(%v) diagnostic %q missing %q", tc.args, buf.String(), tc.want)
+			}
+			continue
+		}
+		var g atomio.Grid
+		tr.Apply(&g)
+		if g.Trace != tc.trace || g.TraceLimit != tc.limit {
+			t.Errorf("Parse(%v) grid trace = %v/%d, want %v/%d", tc.args, g.Trace, g.TraceLimit, tc.trace, tc.limit)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"atomio/internal/fileview"
-	"atomio/internal/trace"
+	"atomio/internal/obs"
 )
 
 // Coloring is the graph-coloring process-handshaking strategy of §3.3.1:
@@ -31,7 +31,7 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) er
 	mine := extentsOf(maps)
 
 	// Handshake: exchange views, build W locally, color.
-	hs := ctx.span(trace.PhaseHandshake)
+	hs := ctx.span(obs.PhaseHandshake)
 	var w OverlapMatrix
 	if s.UseSpans {
 		spans, err := ExchangeSpans(ctx.Comm, mine)
@@ -53,14 +53,14 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) er
 	// One I/O phase per color, barrier-separated.
 	for step := 0; step < numColors; step++ {
 		if step == myColor {
-			xfer := ctx.span(trace.PhaseTransfer)
+			xfer := ctx.span(obs.PhaseTransfer)
 			ctx.Client.WriteV(segments(buf, maps))
 			// Flush write-behind data so the write is visible before
 			// the next phase starts (the per-write file sync of §3).
 			ctx.Client.Sync()
 			xfer.Stop()
 		}
-		sw := ctx.span(trace.PhaseSyncWait)
+		sw := ctx.span(obs.PhaseSyncWait)
 		ctx.Comm.Barrier()
 		sw.Stop()
 	}

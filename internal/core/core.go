@@ -23,8 +23,8 @@ import (
 	"atomio/internal/interval"
 	"atomio/internal/lock"
 	"atomio/internal/mpi"
+	"atomio/internal/obs"
 	"atomio/internal/pfs"
-	"atomio/internal/trace"
 )
 
 // Context carries the per-rank machinery a strategy needs.
@@ -36,17 +36,18 @@ type Context struct {
 	// LockMgr is the platform's lock manager; nil when the file system
 	// has no byte-range locking (Cplant ENFS).
 	LockMgr lock.Manager
-	// Trace, when non-nil, receives per-phase virtual-time breakdowns
-	// (handshake / lock wait / transfer / sync wait / exchange).
-	Trace *trace.Recorder
+	// Obs, when non-nil, receives the strategy's phase spans (handshake /
+	// lock wait / transfer / sync wait / exchange) as phase.span events
+	// and per-rank phase.<p>.ns counters.
+	Obs *obs.Recorder
 	// Fault, when non-nil, is the failure-injection plan consulted for
 	// writer crashes.
 	Fault Faults
 }
 
-// span opens a trace span for this rank; no-op when tracing is off.
-func (ctx *Context) span(p trace.Phase) *trace.Span {
-	return trace.Start(ctx.Trace, ctx.Comm.Rank(), p, ctx.Comm.Clock())
+// span opens a phase span for this rank; no-op when recording is off.
+func (ctx *Context) span(phase string) obs.Span {
+	return ctx.Obs.StartSpan(ctx.Comm.Rank(), phase, ctx.Comm.Clock())
 }
 
 // Faults is the slice of the failure-injection surface a strategy consults:

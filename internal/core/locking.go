@@ -5,7 +5,7 @@ import (
 
 	"atomio/internal/fileview"
 	"atomio/internal/lock"
-	"atomio/internal/trace"
+	"atomio/internal/obs"
 )
 
 // ErrNoLockManager is returned when the locking strategy runs on a file
@@ -58,7 +58,7 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 	if span.Empty() {
 		return nil
 	}
-	lockSpan := ctx.span(trace.PhaseLockWait)
+	lockSpan := ctx.span(obs.PhaseLockWait)
 	grant := ctx.LockMgr.Lock(rank, span, lock.Exclusive, clock.Now())
 	clock.AdvanceTo(grant)
 	lockSpan.Stop()
@@ -66,7 +66,7 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 	// before releasing so the data is visible to the next lock holder.
 	segs := segments(buf, maps)
 	k, crashed := ctx.crashPoint(len(segs))
-	xfer := ctx.span(trace.PhaseTransfer)
+	xfer := ctx.span(obs.PhaseTransfer)
 	ctx.Client.WriteV(segs[:k])
 	if crashed {
 		// The writer dies mid-request: the remaining segments are never

@@ -2,7 +2,7 @@ package core
 
 import (
 	"atomio/internal/fileview"
-	"atomio/internal/trace"
+	"atomio/internal/obs"
 )
 
 // RankOrder is the process-rank ordering strategy of §3.3.2: after the view
@@ -19,14 +19,14 @@ func (RankOrder) Name() string { return "ordering" }
 // WriteAll implements Strategy.
 func (RankOrder) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
 	mine := extentsOf(maps)
-	hs := ctx.span(trace.PhaseHandshake)
+	hs := ctx.span(obs.PhaseHandshake)
 	views, err := ExchangeViews(ctx.Comm, mine)
 	if err != nil {
 		return err
 	}
 	keep := ClipForRank(views, ctx.Comm.Rank())
 	hs.Stop()
-	xfer := ctx.span(trace.PhaseTransfer)
+	xfer := ctx.span(obs.PhaseTransfer)
 	ctx.Client.WriteV(clipSegments(buf, maps, keep))
 	// Flush so the collective completes with data visible to all; no
 	// barrier is needed because no two ranks touch the same byte.

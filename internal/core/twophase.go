@@ -8,8 +8,8 @@ import (
 	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
+	"atomio/internal/obs"
 	"atomio/internal/pfs"
-	"atomio/internal/trace"
 )
 
 // TwoPhase is two-phase collective I/O (ROMIO's collective buffering)
@@ -37,7 +37,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	p := comm.Size()
 	mine := extentsOf(maps)
 
-	hs := ctx.span(trace.PhaseHandshake)
+	hs := ctx.span(obs.PhaseHandshake)
 	views, err := ExchangeViews(comm, mine)
 	if err != nil {
 		return err
@@ -69,7 +69,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 			parts[owner] = appendPiece(parts[owner], ov.Off, data)
 		}
 	}
-	ex := ctx.span(trace.PhaseExchange)
+	ex := ctx.span(obs.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
 
@@ -79,7 +79,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 		return err
 	}
 	k, crashed := ctx.crashPoint(len(segs))
-	xfer := ctx.span(trace.PhaseTransfer)
+	xfer := ctx.span(obs.PhaseTransfer)
 	ctx.Client.WriteV(segs[:k])
 	if crashed {
 		// The domain owner dies between the exchange and its domain
@@ -91,7 +91,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	ctx.Client.Sync()
 	ctx.Client.Invalidate()
 	xfer.Stop()
-	sw := ctx.span(trace.PhaseSyncWait)
+	sw := ctx.span(obs.PhaseSyncWait)
 	comm.Barrier()
 	sw.Stop()
 	return nil

@@ -23,7 +23,6 @@ import (
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 	"atomio/internal/sim/fault"
-	"atomio/internal/trace"
 	"atomio/internal/verify"
 	"atomio/internal/workload"
 )
@@ -78,12 +77,12 @@ type Experiment struct {
 	// vectored-write capability, enabling the core.ListIO strategy
 	// (ablation A6).
 	AtomicListIO bool
-	// Trace records a per-phase virtual-time breakdown of the write.
-	Trace bool
 	// TraceEvents records the structured virtual-time event stream and the
 	// metrics registry (see internal/obs): scheduler park/wake, MPI
-	// messages, lock grants, server queueing, fault instants. The stream is
-	// byte-identical across engines and worker counts.
+	// messages, lock grants, server queueing, fault instants and the
+	// strategy's phase spans, whose per-rank counters give the phase
+	// breakdown. The stream is byte-identical across engines and worker
+	// counts.
 	TraceEvents bool
 	// EventLimit bounds per-actor event memory when TraceEvents is on:
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
@@ -171,8 +170,6 @@ type Result struct {
 	// over fault damage, ascending (nil when Recovery is off or nothing
 	// was damaged).
 	Replayed []int
-	// Phases is the per-phase breakdown (nil unless Trace).
-	Phases *trace.Recorder
 	// Events is the structured event recorder (nil unless TraceEvents).
 	Events *obs.Recorder
 	// Metrics is the merged metrics snapshot (nil unless TraceEvents).
@@ -337,14 +334,6 @@ func (e Experiment) Run() (*Result, error) {
 	}
 	shared := make([]byte, maxPiece)
 
-	var rec *trace.Recorder
-	if e.Trace || e.TraceEvents {
-		rec = trace.NewRecorder(e.Procs).Ensure(
-			trace.PhaseHandshake, trace.PhaseLockWait, trace.PhaseTransfer,
-			trace.PhaseSyncWait, trace.PhaseExchange)
-		rec.SetEvents(events)
-	}
-
 	// A single-step run writes "experiment.dat"; checkpoint runs write one
 	// fresh file per step within the same simulation, so server queues and
 	// caches carry over between dumps exactly as they would in a long-
@@ -398,7 +387,6 @@ func (e Experiment) Run() (*Result, error) {
 			if err := f.SetStrategy(e.Strategy); err != nil {
 				return err
 			}
-			f.SetTrace(rec)
 			f.SetEvents(events)
 			if inj != nil {
 				f.SetFaults(inj)
@@ -485,9 +473,6 @@ func (e Experiment) Run() (*Result, error) {
 			}
 		}
 		out.Verdict = verify.Classify(out.Report, len(out.Replayed) > 0)
-	}
-	if e.Trace {
-		out.Phases = rec
 	}
 	if events != nil {
 		out.Events = events

@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"atomio/internal/core"
+	"atomio/internal/obs"
 	"atomio/internal/platform"
-	"atomio/internal/trace"
+	"atomio/internal/sim"
 )
 
 func TestExperimentVerifiedSmall(t *testing.T) {
@@ -110,65 +111,76 @@ func TestPhaseBreakdownMatchesStrategyStructure(t *testing.T) {
 	base := Experiment{
 		Platform: platform.Origin2000(),
 		M:        256, N: 2048, Procs: 8, Overlap: 16,
-		Pattern: ColumnWise,
-		Trace:   true,
+		Pattern:     ColumnWise,
+		TraceEvents: true,
+		EventLimit:  -1,
 	}
-	runWith := func(s core.Strategy) *Result {
+	runWith := func(s core.Strategy) *obs.Recorder {
 		e := base
 		e.Strategy = s
 		res, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Phases == nil {
+		if res.Events == nil {
 			t.Fatal("trace missing")
 		}
-		return res
+		return res.Events
+	}
+	total := func(r *obs.Recorder, p string) sim.VTime {
+		return sim.VTime(r.Metrics().Counter(obs.PhaseMetric(p)))
+	}
+	most := func(r *obs.Recorder, p string) sim.VTime {
+		var m sim.VTime
+		for a := 0; a < r.Actors(); a++ {
+			m = max(m, sim.VTime(r.ActorCounter(a, obs.PhaseMetric(p))))
+		}
+		return m
 	}
 
 	lockRes := runWith(core.Locking{})
-	if lockRes.Phases.Total(trace.PhaseLockWait) == 0 {
+	if total(lockRes, obs.PhaseLockWait) == 0 {
 		t.Error("locking recorded no lock wait")
 	}
-	if lockRes.Phases.Total(trace.PhaseHandshake) != 0 {
+	if total(lockRes, obs.PhaseHandshake) != 0 {
 		t.Error("locking should not handshake")
 	}
 	// Serialized writers: aggregate lock wait exceeds aggregate transfer.
-	if lockRes.Phases.Total(trace.PhaseLockWait) <= lockRes.Phases.Total(trace.PhaseTransfer) {
+	if total(lockRes, obs.PhaseLockWait) <= total(lockRes, obs.PhaseTransfer) {
 		t.Errorf("locking lockwait %v <= transfer %v",
-			lockRes.Phases.Total(trace.PhaseLockWait), lockRes.Phases.Total(trace.PhaseTransfer))
+			total(lockRes, obs.PhaseLockWait), total(lockRes, obs.PhaseTransfer))
 	}
 
 	colorRes := runWith(core.Coloring{})
-	if colorRes.Phases.Total(trace.PhaseHandshake) == 0 {
+	if total(colorRes, obs.PhaseHandshake) == 0 {
 		t.Error("coloring recorded no handshake")
 	}
-	if colorRes.Phases.Total(trace.PhaseSyncWait) == 0 {
+	if total(colorRes, obs.PhaseSyncWait) == 0 {
 		t.Error("coloring recorded no barrier wait")
 	}
-	if colorRes.Phases.Total(trace.PhaseLockWait) != 0 {
+	if total(colorRes, obs.PhaseLockWait) != 0 {
 		t.Error("coloring should not lock")
 	}
 
 	orderRes := runWith(core.RankOrder{})
-	if orderRes.Phases.Total(trace.PhaseHandshake) == 0 {
+	if total(orderRes, obs.PhaseHandshake) == 0 {
 		t.Error("ordering recorded no handshake")
 	}
-	if orderRes.Phases.Total(trace.PhaseSyncWait) != 0 {
+	if total(orderRes, obs.PhaseSyncWait) != 0 {
 		t.Error("ordering needs no barriers")
 	}
 	// Ordering's whole point: its non-transfer overhead is small, so
 	// transfer dominates its critical path.
-	if orderRes.Phases.Max(trace.PhaseTransfer) <= orderRes.Phases.Max(trace.PhaseHandshake) {
+	if most(orderRes, obs.PhaseTransfer) <= most(orderRes, obs.PhaseHandshake) {
 		t.Errorf("ordering transfer %v <= handshake %v",
-			orderRes.Phases.Max(trace.PhaseTransfer), orderRes.Phases.Max(trace.PhaseHandshake))
+			most(orderRes, obs.PhaseTransfer), most(orderRes, obs.PhaseHandshake))
 	}
 
 	twoRes := runWith(core.TwoPhase{})
-	if twoRes.Phases.Total(trace.PhaseExchange) == 0 {
+	if total(twoRes, obs.PhaseExchange) == 0 {
 		t.Error("two-phase recorded no exchange")
 	}
-	if s := twoRes.Phases.Render(); !strings.Contains(s, "exchange") {
+	if s := twoRes.RenderPhases(); !strings.Contains(s, "exchange") {
 		t.Errorf("render missing exchange:\n%s", s)
 	}
 }

@@ -34,7 +34,7 @@ const (
 	LayerLock  = "lock"  // byte-range lock service
 	LayerPFS   = "pfs"   // I/O servers and WAL
 	LayerFault = "fault" // injected failure instants
-	LayerPhase = "phase" // trace.Recorder phase spans
+	LayerPhase = "phase" // strategy phase spans (see Span)
 )
 
 // Event kinds, grouped by layer.
@@ -60,7 +60,7 @@ const (
 	KindCrash        = "crash"  // fault: writer crash truncated a write
 	KindUnlockDrop   = "udrop"  // fault: unlock message dropped
 	KindUnlockDup    = "udup"   // fault: unlock message duplicated
-	KindPhaseSpan    = "span"   // phase: one trace.Recorder span (Tag = phase)
+	KindPhaseSpan    = "span"   // phase: one closed Span (Tag = phase)
 )
 
 // TagAllgather is the collective tag of the view-exchange allgather — the
@@ -422,5 +422,5 @@ const (
 	MetricWALReplays  = "pfs.wal.replays" // counter: recovery replays
 	MetricParks       = "sched.parks"     // counter: coordinator parks
 	MetricFaultPrefix = "fault."          // counter family: fault instants by kind
-	MetricPhasePrefix = "phase."          // counter family: per-phase virtual ns
+	MetricPhasePrefix = "phase."          // counter family: per-phase virtual ns (PhaseMetric)
 )

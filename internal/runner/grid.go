@@ -46,7 +46,6 @@ type Grid struct {
 	SkipUnsupported bool
 	StoreData       bool
 	Verify          bool
-	Trace           bool
 	// AtomicListIO grants the simulated file system atomic vectored
 	// writes. Cells using the listio strategy get it regardless.
 	AtomicListIO bool
@@ -56,7 +55,8 @@ type Grid struct {
 	Servers int
 	// TraceEvents records every cell's structured event stream and metrics
 	// registry (see internal/obs); the metrics feed the messages /
-	// max_queue_depth / lock-wait columns of emitted records.
+	// max_queue_depth / lock-wait columns of emitted records and the
+	// per-rank phase counters.
 	TraceEvents bool
 	// TraceLimit bounds per-actor event memory when TraceEvents is on
 	// (> 0 ring of newest events, 0 unbounded, < 0 metrics only).
@@ -95,7 +95,6 @@ func (g Grid) Cells() []Cell {
 							Strategy:     strat,
 							StoreData:    g.StoreData,
 							Verify:       g.Verify,
-							Trace:        g.Trace,
 							AtomicListIO: g.AtomicListIO || strat.Name() == "listio",
 							Servers:      g.Servers,
 							TraceEvents:  g.TraceEvents,

@@ -17,7 +17,7 @@ func traceSpec(t *testing.T, strategy string, extra ...Option) *Spec {
 	t.Helper()
 	opts := append([]Option{
 		Platform("Origin2000"), Array(256, 2048), Procs(4), Overlap(8),
-		Strategy(strategy), TraceEvents(true),
+		Strategy(strategy), Trace(0),
 	}, extra...)
 	s, err := New(opts...)
 	if err != nil {
@@ -33,12 +33,12 @@ func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
 	for _, strategy := range []string{"locking", "coloring"} {
 		t.Run(strategy, func(t *testing.T) {
 			cells, err := Grid{
-				Platforms:   []string{"Origin2000"},
-				Sizes:       []Size{{M: 256, N: 2048}},
-				Procs:       []int{4},
-				Overlap:     8,
-				Strategies:  []string{strategy},
-				TraceEvents: true,
+				Platforms:  []string{"Origin2000"},
+				Sizes:      []Size{{M: 256, N: 2048}},
+				Procs:      []int{4},
+				Overlap:    8,
+				Strategies: []string{strategy},
+				Trace:      true,
 			}.Cells()
 			if err != nil {
 				t.Fatal(err)
@@ -70,12 +70,12 @@ func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
 // on four: per-cell traces must not depend on host-side parallelism.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	grid := Grid{
-		Platforms:   []string{"Origin2000"},
-		Sizes:       []Size{{M: 128, N: 1024, Label: "128 KB"}},
-		Procs:       []int{4},
-		Overlap:     8,
-		Strategies:  []string{"locking", "coloring", "ordering"},
-		TraceEvents: true,
+		Platforms:  []string{"Origin2000"},
+		Sizes:      []Size{{M: 128, N: 1024, Label: "128 KB"}},
+		Procs:      []int{4},
+		Overlap:    8,
+		Strategies: []string{"locking", "coloring", "ordering"},
+		Trace:      true,
 	}
 	runWith := func(workers int) [][]byte {
 		cells, err := grid.Cells()
@@ -104,37 +104,34 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPhaseTotalsPinnedToEvents is the property pinning the two
-// observability layers together: the trace.Recorder per-(rank, phase)
-// totals and the sums of phase.span event durations are computed from the
-// same spans and must agree exactly.
+// TestPhaseTotalsPinnedToEvents pins the phase breakdown to the events it
+// summarizes: every rank's phase.<p>.ns counter equals the sum of its
+// phase.span durations, and because counters are exact under any event
+// limit, unbounded, ring and metrics-only runs render the same table.
 func TestPhaseTotalsPinnedToEvents(t *testing.T) {
 	for _, strategy := range []string{"locking", "coloring", "ordering", "twophase"} {
 		t.Run(strategy, func(t *testing.T) {
-			s := traceSpec(t, strategy, Trace(true))
+			s := traceSpec(t, strategy)
 			res, err := s.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Phases == nil || res.Events == nil {
-				t.Fatal("run carries no phase recorder or event recorder")
-			}
-			fromEvents := make(map[string]map[int]VTime)
+			fromEvents := make(map[string]map[int]int64)
 			for _, e := range res.Events.Events() {
 				if e.Layer != obs.LayerPhase || e.Kind != obs.KindPhaseSpan {
 					continue
 				}
 				if fromEvents[e.Tag] == nil {
-					fromEvents[e.Tag] = make(map[int]VTime)
+					fromEvents[e.Tag] = make(map[int]int64)
 				}
-				fromEvents[e.Tag][e.Actor] += e.Dur
+				fromEvents[e.Tag][e.Actor] += int64(e.Dur)
 			}
 			checked := 0
-			for _, p := range res.Phases.Phases() {
+			for _, p := range []string{obs.PhaseExchange, obs.PhaseHandshake, obs.PhaseLockWait, obs.PhaseSyncWait, obs.PhaseTransfer} {
 				for rank := 0; rank < s.Procs; rank++ {
-					want := res.Phases.Rank(rank, p)
-					if got := fromEvents[string(p)][rank]; got != want {
-						t.Errorf("rank %d phase %s: events sum to %v, recorder says %v", rank, p, got, want)
+					want := res.Events.ActorCounter(rank, obs.PhaseMetric(p))
+					if got := fromEvents[p][rank]; got != want {
+						t.Errorf("rank %d phase %s: events sum to %d, counter says %d", rank, p, got, want)
 					}
 					if want > 0 {
 						checked++
@@ -143,6 +140,16 @@ func TestPhaseTotalsPinnedToEvents(t *testing.T) {
 			}
 			if checked == 0 {
 				t.Fatal("no non-zero phase totals; property test vacuous")
+			}
+			table := res.Events.RenderPhases()
+			for _, limit := range []int{16, -1} {
+				other, err := traceSpec(t, strategy, Trace(limit)).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := other.Events.RenderPhases(); got != table {
+					t.Errorf("limit %d renders\n%s\nunbounded renders\n%s", limit, got, table)
+				}
 			}
 		})
 	}
@@ -155,7 +162,7 @@ func TestPhaseTotalsPinnedToEvents(t *testing.T) {
 func TestChromeTraceGolden(t *testing.T) {
 	res, err := Run(
 		Platform("Origin2000"), Array(64, 256), Procs(2), Overlap(4),
-		Strategy("coloring"), TraceEvents(true),
+		Strategy("coloring"), Trace(0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +212,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestTraceRingBoundsMemory checks the large-P story: a positive TraceLimit
+// TestTraceRingBoundsMemory checks the large-P story: a positive trace limit
 // keeps only the newest events per actor while the metrics registry still
 // counts everything.
 func TestTraceRingBoundsMemory(t *testing.T) {
@@ -213,7 +220,7 @@ func TestTraceRingBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := traceSpec(t, "locking", TraceLimit(16)).Run()
+	ring, err := traceSpec(t, "locking", Trace(16)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
